@@ -1113,17 +1113,21 @@ let obs_bench () =
     done;
     !m
   in
+  let binary = Pytfhe_circuit.Binary.assemble net in
+  let cpu ?opts () =
+    ignore
+      (Pytfhe_backend.Stream_exec.run_encrypted_stream ?opts cloud
+         (Pytfhe_circuit.Binary.source_of_bytes binary)
+         ins)
+  in
   let t_base = best baseline in
-  let t_null = best (fun () -> ignore (Pytfhe_backend.Tfhe_eval.run cloud net ins)) in
+  let t_null = best cpu in
   let last_sink = ref Trace.null in
   let t_traced =
     best (fun () ->
         let s = Trace.create () in
         last_sink := s;
-        ignore
-          (Pytfhe_backend.Tfhe_eval.run
-             ~opts:(Pytfhe_backend.Exec_opts.of_flags ~obs:s ())
-             cloud net ins))
+        cpu ~opts:{ Executor.default_opts with obs = s } ())
   in
   let evs = Trace.events !last_sink in
   let nevents = List.length evs in
@@ -1132,9 +1136,9 @@ let obs_bench () =
   let enabled_overhead = (t_traced -. t_base) /. t_base in
   Format.printf "@.%-36s %12s %10s@." "EXECUTOR" "WALL" "OVERHEAD";
   Format.printf "%-36s %12s %10s@." "uninstrumented id-order loop" (human_time t_base) "-";
-  Format.printf "%-36s %12s %+9.2f%%@." "Tfhe_eval.run, sink disabled" (human_time t_null)
+  Format.printf "%-36s %12s %+9.2f%%@." "cpu executor, sink disabled" (human_time t_null)
     (100.0 *. disabled_overhead);
-  Format.printf "%-36s %12s %+9.2f%%@." "Tfhe_eval.run, sink enabled" (human_time t_traced)
+  Format.printf "%-36s %12s %+9.2f%%@." "cpu executor, sink enabled" (human_time t_traced)
     (100.0 *. enabled_overhead);
   Format.printf "enabled run captured %d events (%d spans over %d waves)@." nevents nspans chain;
   Format.printf "disabled-sink overhead %s the 2%% budget%s@."
@@ -1207,78 +1211,70 @@ let batch_bench () =
     (Option.get !out, !m)
   in
   let module Tfhe_eval = Pytfhe_backend.Tfhe_eval in
-  let (scalar_out, _), scalar_wall = best (fun () -> Tfhe_eval.run cloud net cts) in
+  let binary = Pytfhe_circuit.Binary.assemble net in
+  let cpu ?opts () =
+    Pytfhe_backend.Stream_exec.run_encrypted_stream ?opts cloud
+      (Pytfhe_circuit.Binary.source_of_bytes binary)
+      cts
+  in
+  let (scalar_out, _), scalar_wall = best cpu in
   let bootstraps = width * depth in
   Format.printf "  per-gate (scalar): %s  (%.1f gates/s)@." (human_time scalar_wall)
     (float_of_int bootstraps /. scalar_wall);
   let batch_sizes = [ 1; 4; 8 ] in
-  (* Three code paths over the identical schedule and ciphertexts: the
-     scalar walk (above), the record-per-gate batched walk, and the
-     struct-of-arrays batched walk — so the SoA layout change is attributed
-     separately from the key-streaming effect.  Every wall time is the best
-     of [reps] runs; comparing best-of-N against best-of-N keeps scheduler
-     jitter out of the throughput verdict. *)
-  let layouts = [ (false, "record"); (true, "soa") ] in
+  (* The scalar run (above) and the batched runs execute the identical
+     schedule and ciphertexts.  Every wall time is the best of [reps] runs;
+     comparing best-of-N against best-of-N keeps scheduler jitter out of
+     the throughput verdict. *)
   let rows =
-    List.concat_map
-      (fun (soa, label) ->
-        List.map
-          (fun b ->
-            let (outs, st), wall =
-              best (fun () ->
-                  Tfhe_eval.run
-                    ~opts:(Pytfhe_backend.Exec_opts.of_flags ~batch:b ~soa ())
-                    cloud net cts)
-            in
-            let exact = outs = scalar_out in
-            let bsk_per_gate =
-              float_of_int st.Tfhe_eval.bsk_bytes_streamed /. float_of_int (max 1 bootstraps)
-            in
-            let ks_per_gate =
-              float_of_int st.Tfhe_eval.ks_bytes_streamed /. float_of_int (max 1 bootstraps)
-            in
-            (soa, label, b, wall, exact, st, bsk_per_gate, ks_per_gate))
-          batch_sizes)
-      layouts
+    List.map
+      (fun b ->
+        let (outs, st), wall = best (cpu ~opts:{ Executor.default_opts with batch = Some b }) in
+        let exact = outs = scalar_out in
+        let bsk_per_gate =
+          float_of_int st.Tfhe_eval.bsk_bytes_streamed /. float_of_int (max 1 bootstraps)
+        in
+        let ks_per_gate =
+          float_of_int st.Tfhe_eval.ks_bytes_streamed /. float_of_int (max 1 bootstraps)
+        in
+        (b, wall, exact, st, bsk_per_gate, ks_per_gate))
+      batch_sizes
   in
-  let row ~soa b = List.find (fun (s, _, b', _, _, _, _, _) -> s = soa && b' = b) rows in
-  let wall_at ~soa b =
-    let _, _, _, w, _, _, _, _ = row ~soa b in
+  let row b = List.find (fun (b', _, _, _, _, _) -> b' = b) rows in
+  let wall_at b =
+    let _, w, _, _, _, _ = row b in
     w
   in
-  let bsk_at ~soa b =
-    let _, _, _, _, _, _, v, _ = row ~soa b in
+  let bsk_at b =
+    let _, _, _, _, v, _ = row b in
     v
   in
-  Format.printf "@.%-8s %-7s %10s %12s %16s %16s %10s@." "LAYOUT" "BATCH" "WALL" "GATES/S"
+  Format.printf "@.%-7s %10s %12s %16s %16s %10s@." "BATCH" "WALL" "GATES/S"
     "BSK BYTES/GATE" "KS BYTES/GATE" "BIT-EXACT";
   List.iter
-    (fun (_soa, label, b, wall, exact, _st, bsk_pg, ks_pg) ->
-      Format.printf "%-8s %-7d %10s %12.1f %16.0f %16.0f %10s@." label b (human_time wall)
+    (fun (b, wall, exact, _st, bsk_pg, ks_pg) ->
+      Format.printf "%-7d %10s %12.1f %16.0f %16.0f %10s@." b (human_time wall)
         (float_of_int bootstraps /. wall)
         bsk_pg ks_pg
         (if exact then "yes" else "NO"))
     rows;
-  let reduction4 = bsk_at ~soa:true 1 /. Float.max (bsk_at ~soa:true 4) 1.0 in
-  let wall1 = wall_at ~soa:true 1 in
-  let wall4 = wall_at ~soa:true 4 in
-  let wall8 = wall_at ~soa:true 8 in
-  let record_wall4 = wall_at ~soa:false 4 in
-  let all_exact = List.for_all (fun (_, _, _, _, e, _, _, _) -> e) rows in
+  let reduction4 = bsk_at 1 /. Float.max (bsk_at 4) 1.0 in
+  let wall1 = wall_at 1 in
+  let wall4 = wall_at 4 in
+  let wall8 = wall_at 8 in
+  let all_exact = List.for_all (fun (_, _, e, _, _, _) -> e) rows in
   (* Both sides of the throughput criterion are best-of-[reps] wall times:
-     the SoA batch=4 run must beat both the scalar walk and the per-gate
+     the batch=4 run must beat both the scalar run and the per-gate
      batch=1 run (same code path, keys streamed once per gate), so the
-     verdict reflects the layout + key-streaming effect rather than a lucky
-     or unlucky single sample. *)
+     verdict reflects the key-streaming effect rather than a lucky or
+     unlucky single sample. *)
   let throughput_ok = wall4 <= Float.min wall1 scalar_wall *. 1.02 in
   let speedup4 = scalar_wall /. wall4 in
   let speedup8 = scalar_wall /. wall8 in
   Format.printf "@.bootstrap-key traffic at batch 4: %.2fx less than per-gate%s@." reduction4
     (if reduction4 >= 2.0 then "  (meets the 2x target)" else "  (BELOW the 2x target!)");
-  Format.printf
-    "SoA batched throughput: %.2fx vs scalar (x8: %.2fx), %.2fx vs per-gate batch=1, %.2fx vs \
-     record batch=4%s@."
-    speedup4 speedup8 (wall1 /. wall4) (record_wall4 /. wall4)
+  Format.printf "batched throughput: %.2fx vs scalar (x8: %.2fx), %.2fx vs per-gate batch=1%s@."
+    speedup4 speedup8 (wall1 /. wall4)
     (if throughput_ok then "" else "  (batched run is SLOWER than per-gate!)");
   if not all_exact then Format.printf "ERROR: batched output differs from the scalar path!@.";
   (* The Fig. 9 analog on the model side: the same wave schedule priced as
@@ -1303,11 +1299,10 @@ let batch_bench () =
         ( "runs",
           Json.List
             (List.map
-               (fun (soa, _label, b, wall, exact, st, bsk_pg, ks_pg) ->
+               (fun (b, wall, exact, st, bsk_pg, ks_pg) ->
                  Json.Obj
                    [
                      ("batch", Json.Number (float_of_int b));
-                     ("soa", Json.Bool soa);
                      ("wall_s", Json.Number wall);
                      ("gates_per_s", Json.Number (float_of_int bootstraps /. wall));
                      ("bit_exact", Json.Bool exact);
@@ -1323,14 +1318,14 @@ let batch_bench () =
         (* best-of-N on both sides of every ratio below *)
         ("batched_speedup_x4", Json.Number speedup4);
         ("batched_speedup_x8", Json.Number speedup8);
-        ("soa_vs_record_x4", Json.Number (record_wall4 /. wall4));
         ("throughput_margin", Json.Number speedup4);
         ("batched_throughput_ge_scalar", Json.Bool (wall4 <= scalar_wall));
         ("batched_throughput_ge_pergate", Json.Bool (wall4 <= wall1));
         ("all_bit_exact", Json.Bool all_exact);
-        (* CI smoke gate: SoA must be bit-exact and not slower than scalar
-           (10% jitter allowance — smoke parameters run in milliseconds). *)
-        ("soa_ok", Json.Bool (all_exact && wall4 <= scalar_wall *. 1.10));
+        (* CI smoke gate: the batched path must be bit-exact and not slower
+           than scalar (10% jitter allowance — smoke parameters run in
+           milliseconds). *)
+        ("batched_ok", Json.Bool (all_exact && wall4 <= scalar_wall *. 1.10));
         ( "gpu_model",
           Json.Obj
             [

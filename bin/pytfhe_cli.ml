@@ -248,13 +248,11 @@ let apply_transform params = function
   | Some t -> Pytfhe_tfhe.Params.with_transform params t
 
 let run_cmd =
-  let run w seed encrypted backend workers dist_workers batch soa lut_cover transform trace metrics =
+  let run w seed encrypted backend workers dist_workers batch lut_cover transform trace metrics =
     (match workers with Some w when w < 1 -> failwith "--workers must be >= 1" | _ -> ());
     if dist_workers < 0 then failwith "--dist-workers must be >= 1";
     if batch < 0 then failwith "--batch must be >= 1";
-    if soa && batch = 0 then failwith "--soa requires --batch";
     let batch = if batch = 0 then None else Some batch in
-    let soa = if soa then Some true else None in
     let rng = Pytfhe_util.Rng.create ~seed () in
     if encrypted then begin
       if w.W.heavy then failwith "workload too large for real encrypted execution; use a light one";
@@ -271,7 +269,7 @@ let run_cmd =
       Format.printf "evaluating %d gates homomorphically on the %s backend...@."
         compiled.Pipeline.stats.Stats.gates (Server.exec_backend_name exec);
       let outs, stats =
-        Server.run ~opts:(Exec_opts.of_flags ~obs ?batch ?soa ()) exec cloud compiled cts
+        Server.run ~opts:{ Exec_opts.obs; batch } exec cloud compiled cts
       in
       let extra =
         match stats.Executor.detail with
@@ -336,15 +334,9 @@ let run_cmd =
                  bootstrap kernel (with --encrypted; cpu and par backends; bit-exact with \
                  the per-gate path).  Default: per-gate execution.")
   in
-  let soa =
-    Arg.(value & flag & info [ "soa" ]
-           ~doc:"With --batch: run the sub-batches through the struct-of-arrays row kernels \
-                 on contiguous ciphertext waves (bit-exact with both the record-batched and \
-                 per-gate paths).")
-  in
   Cmd.v (Cmd.info "run" ~doc:"Run a workload (functionally, or homomorphically with --encrypted)")
     Term.(const run $ workload_arg $ seed $ encrypted $ backend $ workers $ dist_workers
-          $ batch $ soa $ lut_cover_arg $ transform_arg $ trace_arg $ metrics_arg)
+          $ batch $ lut_cover_arg $ transform_arg $ trace_arg $ metrics_arg)
 
 let verilog_cmd =
   let run w out =
@@ -543,7 +535,7 @@ let eval_cmd =
         In_channel.with_open_bin program (fun ic ->
             let outs, _ =
               Pytfhe_backend.Stream_exec.run_encrypted_stream
-                ~opts:(Exec_opts.of_flags ~obs ()) keyset (Binary.read_source ic) cts
+                ~opts:{ Exec_opts.default with obs } keyset (Binary.read_source ic) cts
             in
             outs)
       end
@@ -551,7 +543,8 @@ let eval_cmd =
         let bytes = Binary.read_file program in
         Format.printf "evaluating %d instructions on %d input ciphertexts ...@."
           (Binary.instruction_count bytes) (Array.length cts);
-        Pytfhe_backend.Stream_exec.run_encrypted ~opts:(Exec_opts.of_flags ~obs ()) keyset bytes cts
+        Pytfhe_backend.Stream_exec.run_encrypted ~opts:{ Exec_opts.default with obs } keyset bytes
+          cts
       end
     in
     Pytfhe_core.Ciphertext_file.write out outs;

@@ -1,9 +1,9 @@
-(* Real multi-process distributed evaluation of TFHE netlists.
+(* Real multi-process distributed evaluation of TFHE programs.
 
    Where Sched_cpu *prices* the paper's Ray cluster (§IV-D, Fig. 10) through
    a cost model, this executor actually crosses the process boundary: it
    spawns N worker processes, ships the cloud keyset once at startup, and
-   then drives the levelized wave schedule by sending each worker a shard
+   then drives the wave driver's schedule by sending each worker a shard
    of every wave's bootstrapped gates — input ciphertexts serialized
    through Wire inside length-prefixed frames over Unix socketpairs — and
    collecting the result ciphertexts at a wave barrier.
@@ -34,12 +34,10 @@
    Because each gate runs the identical torus operation sequence as
    Tfhe_eval.apply_gate — only in another address space, with the operands
    round-tripped through the exact 32-bit wire encoding — the output
-   ciphertexts are bit-exact with Tfhe_eval.run for any worker count and
-   any fault pattern the executor survives. *)
+   ciphertexts are bit-exact with the sequential executor for any worker
+   count and any fault pattern the executor survives. *)
 
-module Netlist = Pytfhe_circuit.Netlist
 module Gate = Pytfhe_circuit.Gate
-module Levelize = Pytfhe_circuit.Levelize
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
@@ -91,16 +89,15 @@ type config = {
   backoff : float;
   heartbeat_interval : float;
   faults : fault list;
-  array_frames : bool;
 }
 
 let config ?(request_timeout = 60.0) ?(max_retries = 2) ?(backoff = 2.0)
-    ?(heartbeat_interval = 0.25) ?(faults = []) ?(array_frames = true) workers =
+    ?(heartbeat_interval = 0.25) ?(faults = []) workers =
   if workers < 1 then invalid_arg "Dist_eval.config: workers must be >= 1";
   if request_timeout <= 0.0 then invalid_arg "Dist_eval.config: request_timeout must be > 0";
   if max_retries < 0 then invalid_arg "Dist_eval.config: max_retries must be >= 0";
   if backoff < 1.0 then invalid_arg "Dist_eval.config: backoff must be >= 1";
-  { workers; request_timeout; max_retries; backoff; heartbeat_interval; faults; array_frames }
+  { workers; request_timeout; max_retries; backoff; heartbeat_interval; faults }
 
 type stats = {
   workers_started : int;
@@ -192,7 +189,7 @@ let worker_main fd =
   ignore (write_frame fd (Buffer.to_bytes rdy));
   (* SoA request scratch, built on first DRQ2: the row-batched context and
      a staging array for sub-batches of at most [worker_batch_cap] gates.
-     Legacy per-sample coordinators never pay for it. *)
+     A worker that only ever serves LUT shards (DREQ) never pays for it. *)
   let worker_batch_cap = 32 in
   let soa_scratch =
     lazy
@@ -323,10 +320,7 @@ let worker_main fd =
         Trace.span wtr ~cat:"shard"
           ~name:(Printf.sprintf "req %d (%d gates)" req_id boots)
           ~t0:(t0 -. ep) ~t1:(t1 -. ep);
-        Trace.counter wtr ~name:"bootstraps" (float_of_int boots);
-        Trace.counter wtr ~name:"key_switches" (float_of_int boots);
-        Trace.counter wtr ~name:"ffts"
-          (float_of_int (boots * Exec_obs.ffts_per_bootstrap p));
+        Exec_obs.crypto_counters wtr p ~bootstraps:boots;
         match Trace.flush wsink with
         | [] -> ()
         | events ->
@@ -372,9 +366,7 @@ type worker = {
 }
 
 (* One unit of shard work, with operands already resolved to ciphertexts —
-   exactly what the DREQ wire format carries, so shards are netlist-free
-   and the same dispatch path serves both the materialised and the
-   streaming executor. *)
+   exactly what the DREQ wire format carries, so shards are program-free. *)
 type shard_item =
   | S_gate of { code : int; a : Lwe.sample; b : Lwe.sample }
       (** Classic bootstrapped gate; operands are classic views. *)
@@ -488,13 +480,10 @@ let send_shard st sh =
   st.next_req <- st.next_req + 1;
   sh.req_id <- st.next_req;
   let buf = Buffer.create 4096 in
-  (* DRQ2's flat two-operand frames can't carry variable-arity LUT records;
-     a shard containing any LUT cell falls back to per-record DREQ framing
-     (classic-only shards keep the SoA fast path). *)
-  let shard_has_lut =
-    Array.exists (function S_lut _ -> true | S_gate _ -> false) sh.items
-  in
-  if st.cfg.array_frames && not shard_has_lut then begin
+  (* DRQ2's flat two-operand frames can't carry variable-arity LUT records:
+     classic-only shards take the SoA frame, a shard containing any LUT
+     cell the per-record DREQ framing. *)
+  if Array.for_all (function S_gate _ -> true | S_lut _ -> false) sh.items then begin
     (* SoA request: gate codes, then the two operand waves packed as flat
        Lwe_array frames — one bounds-checked blit per direction on the wire
        instead of per-sample framing. *)
@@ -757,8 +746,7 @@ let shutdown members =
     members
 
 (* A live worker pool plus its dispatch state: the startup half of a run
-   (sigpipe, transform tables, spawn, hello, DRDY barrier), reusable by
-   both the materialised and the streaming executor. *)
+   (sigpipe, transform tables, spawn, hello, DRDY barrier). *)
 type session = {
   s_cloud : Gates.cloud_keyset;
   s_st : state;
@@ -851,7 +839,7 @@ let session_start ?(obs = Trace.null) cfg cloud =
        members;
      if live_workers st = [] then
        failwith
-         "Dist_eval.run: no worker came up — does the host executable call \
+         "Dist_eval.run_stream: no worker came up — does the host executable call \
           Dist_eval.worker_entry at the start of main?"
    with exn ->
      shutdown members;
@@ -871,159 +859,11 @@ let session_shutdown s =
   shutdown s.s_members;
   s.s_restore ()
 
-let run_legacy ?(obs = Trace.null) cfg cloud net inputs =
-  let input_list = Netlist.inputs net in
-  if Array.length inputs <> List.length input_list then
-    invalid_arg "Dist_eval.run: input arity mismatch";
-  let session = session_start ~obs cfg cloud in
-  let st = session.s_st in
-  let start = session.s_started in
-  Fun.protect
-    ~finally:(fun () -> session_shutdown session)
-    (fun () ->
-      let startup_time = session.s_startup in
-      let values = Array.make (Netlist.node_count net) None in
-      st.put <- (fun id v -> values.(id) <- Some v);
-      List.iteri (fun i (_, id) -> values.(id) <- Some inputs.(i)) input_list;
-      for id = 0 to Netlist.node_count net - 1 do
-        match Netlist.kind net id with
-        | Netlist.Const b -> values.(id) <- Some (Gates.constant cloud b)
-        | Netlist.Input _ | Netlist.Gate _ | Netlist.Lut _ -> ()
-      done;
-      (* Shard items carry resolved operands: the classic view for gate
-         fan-ins and arity-1 cells, raw lutdom ciphertexts for multi-input
-         cell operands — the same resolution [send_shard] used to do
-         in-line when shards still referenced the netlist. *)
-      let classic id = Tfhe_eval.classic_view net values id in
-      let items_of_wave par =
-        Array.map
-          (fun id ->
-            match Netlist.kind net id with
-            | Netlist.Gate (g, a, b) ->
-              S_gate { code = Gate.to_code g; a = classic a; b = classic b }
-            | Netlist.Lut { table; ins } ->
-              let arity = Array.length ins in
-              let ops =
-                if arity = 1 then [| classic ins.(0) |]
-                else Array.map (fun a -> Option.get values.(a)) ins
-              in
-              S_lut { arity; table; ops }
-            | Netlist.Input _ | Netlist.Const _ -> assert false)
-          par
-      in
-      let sched = Levelize.run net in
-      let waves = Levelize.waves sched net in
-      let wave_wall = Array.make (Array.length waves) 0.0 in
-      let wave_width =
-        Array.map (fun w -> Array.length w.Levelize.parallel) waves
-      in
-      let bootstraps = ref 0 and nots = ref 0 in
-      let traced = Trace.enabled obs in
-      let ep = Trace.epoch obs in
-      let wave_tr = Trace.new_track obs ~name:"coordinator" in
-      if traced then Exec_obs.noise_gauges wave_tr cloud.Gates.cloud_params;
-      (try
-         Array.iteri
-           (fun i wave ->
-             let t0 = Unix.gettimeofday () in
-             let a0 = if traced then Exec_obs.alloc_words () else 0.0 in
-             let out0 = st.bytes_out and in0 = st.bytes_in in
-             let retries0 = st.retries and reassign0 = st.reassignments in
-             let corrupt0 = st.corrupt_frames and hb0 = st.heartbeat_misses in
-             dispatch st (items_of_wave wave.Levelize.parallel) wave.Levelize.parallel;
-             bootstraps := !bootstraps + Array.length wave.Levelize.parallel;
-             let nots0 = !nots in
-             Array.iter
-               (fun id ->
-                 match Netlist.kind net id with
-                 | Netlist.Gate (g, a, _) when Gate.is_unary g ->
-                   values.(id) <- Some (Lwe.neg (classic a));
-                   incr nots
-                 | Netlist.Gate _ | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ ->
-                   assert false)
-               wave.Levelize.inline;
-             let t1 = Unix.gettimeofday () in
-             wave_wall.(i) <- t1 -. t0;
-             if traced then begin
-               let width = Array.length wave.Levelize.parallel in
-               Trace.span wave_tr ~cat:"wave"
-                 ~name:(Printf.sprintf "wave %d" i)
-                 ~t0:(t0 -. ep) ~t1:(t1 -. ep);
-               (* bootstraps/key_switches/ffts come from the worker-side
-                  shard counters (shipped in DTRC frames), which count
-                  where the gates actually ran — a retried shard is
-                  re-counted by whichever worker redid it.  Emitting them
-                  here too would double every one of them. *)
-               Trace.counter wave_tr ~name:"nots" (float_of_int (!nots - nots0));
-               Trace.counter wave_tr ~name:"wave_width" (float_of_int width);
-               Trace.counter wave_tr ~name:"alloc_words"
-                 (Exec_obs.alloc_words () -. a0);
-               let c name v =
-                 Trace.counter wave_tr ~name (float_of_int v)
-               in
-               c "bytes_to_workers" (st.bytes_out - out0);
-               c "bytes_from_workers" (st.bytes_in - in0);
-               c "retries" (st.retries - retries0);
-               c "reassignments" (st.reassignments - reassign0);
-               c "corrupt_frames" (st.corrupt_frames - corrupt0);
-               c "heartbeat_misses" (st.heartbeat_misses - hb0);
-               (* the wave barrier just passed: every accepted shard's
-                  DTRC has been merged, nothing else is in flight *)
-               Trace.drain obs
-             end)
-           waves
-       with All_workers_lost ->
-         failwith "Dist_eval.run: all workers lost (crashed or unresponsive)");
-      let outputs =
-        Netlist.outputs net
-        |> List.map (fun (_, id) -> classic id)
-        |> Array.of_list
-      in
-      ( outputs,
-        {
-          workers_started = cfg.workers;
-          workers_lost = st.lost;
-          bootstraps_executed = !bootstraps;
-          nots_executed = !nots;
-          requests_sent = st.requests_sent;
-          retries = st.retries;
-          reassignments = st.reassignments;
-          corrupt_frames = st.corrupt_frames;
-          heartbeat_misses = st.heartbeat_misses;
-          keyset_bytes = session.s_keyset_bytes;
-          bytes_to_workers = st.bytes_out;
-          bytes_from_workers = st.bytes_in;
-          startup_time;
-          dispatch_time = st.t_dispatch;
-          transfer_time = st.t_transfer;
-          compute_time = st.t_compute;
-          wave_wall;
-          wave_width;
-          wall_time = Unix.gettimeofday () -. start;
-        } ))
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "workers=%d (%d lost) bootstraps=%d nots=%d requests=%d retries=%d reassignments=%d \
-     corrupt=%d hb-misses=%d wall=%.3fs dispatch=%.3fs transfer=%.3fs compute=%.3fs \
-     sent=%dB recv=%dB"
-    s.workers_started s.workers_lost s.bootstraps_executed s.nots_executed s.requests_sent
-    s.retries s.reassignments s.corrupt_frames s.heartbeat_misses s.wall_time
-    s.dispatch_time s.transfer_time s.compute_time s.bytes_to_workers s.bytes_from_workers
-
-let run ?(opts = Exec_opts.default) cfg cloud net inputs =
-  Exec_opts.check_scalar_only ~who:"Dist_eval.run" opts;
-  run_legacy ~obs:opts.Exec_opts.obs cfg cloud net inputs
-
-(* --- Streaming execution --------------------------------------------------
-
-   Distributed execution of a streamed binary: the segmented wave driver
-   resolves operands as the stream arrives, and each wave's tasks convert
-   directly into shard items — the DREQ wire format always carried resolved
-   ciphertexts, so the worker protocol is unchanged and workers stay
-   netlist-free either way.  Fault tolerance (deadlines, retries,
-   reassignment, heartbeats) is the same [dispatch] loop as [run]. *)
-
+(* Each wave's resolved-operand tasks convert directly into shard items —
+   the DREQ wire format always carried resolved ciphertexts, so workers
+   stay program-free.  Fault tolerance (deadlines, retries, reassignment,
+   heartbeats) is the [dispatch] loop above.  Workers do not share LUT
+   rotations across cells, so every task is one rotation. *)
 let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
   Exec_opts.check_scalar_only ~who:"Dist_eval.run_stream" opts;
   let obs = opts.Exec_opts.obs in
@@ -1032,10 +872,6 @@ let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
   Fun.protect
     ~finally:(fun () -> session_shutdown session)
     (fun () ->
-      (* The driver evaluates inline NOTs coordinator-side; a scalar
-         context exists only as the safety net behind [v_lut], which the
-         wave contract never exercises. *)
-      let ctx = lazy (Gates.context cloud) in
       let run_wave tasks =
         let total = Array.length tasks in
         let items =
@@ -1049,29 +885,38 @@ let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
         in
         let out = Array.make total None in
         st.put <- (fun i v -> out.(i) <- Some v);
+        let out0 = st.bytes_out and in0 = st.bytes_in in
+        let retries0 = st.retries and reassign0 = st.reassignments in
+        let corrupt0 = st.corrupt_frames and hb0 = st.heartbeat_misses in
         dispatch st items (Array.init total Fun.id);
-        Array.map (function Some v -> v | None -> assert false) out
-      in
-      let ops =
         {
-          Stream_exec.v_gate =
-            (fun g a b ->
-              match g with
-              | Gate.Not -> Lwe.neg a
-              | _ -> Tfhe_eval.apply_gate (Lazy.force ctx) g a b);
-          v_input =
-            (fun i ->
-              if i >= Array.length inputs then
-                invalid_arg "Dist_eval.run_stream: wrong number of inputs for the stream"
-              else inputs.(i));
-          v_lut =
-            (fun ~arity ~table ops ->
-              Gates.lut_cell_in (Lazy.force ctx) ~arity ~table ops);
-          v_lut_view = Gates.lut_to_classic;
+          Stream_exec.results = Array.map (function Some v -> v | None -> assert false) out;
+          rotations = total;
+          counters =
+            [
+              ("bytes_to_workers", st.bytes_out - out0);
+              ("bytes_from_workers", st.bytes_in - in0);
+              ("retries", st.retries - retries0);
+              ("reassignments", st.reassignments - reassign0);
+              ("corrupt_frames", st.corrupt_frames - corrupt0);
+              ("heartbeat_misses", st.heartbeat_misses - hb0);
+            ];
+        }
+      in
+      (* bootstraps/key_switches/ffts come from the worker-side shard
+         counters (shipped in DTRC frames), which count where the gates
+         actually ran — a retried shard is re-counted by whichever worker
+         redid it. *)
+      let probe =
+        {
+          Stream_exec.track = "coordinator";
+          params = cloud.Gates.cloud_params;
+          remote_crypto = true;
+          batch = None;
         }
       in
       let outputs, ws =
-        try Stream_exec.run_waves ~obs ?window ~run_wave ops read
+        try Stream_exec.run_waves ~obs ?window probe ~run_wave read inputs
         with All_workers_lost ->
           failwith "Dist_eval.run_stream: all workers lost (crashed or unresponsive)"
       in
@@ -1097,3 +942,12 @@ let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
           wave_width = ws.Stream_exec.wave_widths;
           wall_time = Unix.gettimeofday () -. session.s_started;
         } ))
+
+let pp_stats fmt s =
+  Format.fprintf fmt
+    "workers=%d (%d lost) bootstraps=%d nots=%d requests=%d retries=%d reassignments=%d \
+     corrupt=%d hb-misses=%d wall=%.3fs dispatch=%.3fs transfer=%.3fs compute=%.3fs \
+     sent=%dB recv=%dB"
+    s.workers_started s.workers_lost s.bootstraps_executed s.nots_executed s.requests_sent
+    s.retries s.reassignments s.corrupt_frames s.heartbeat_misses s.wall_time
+    s.dispatch_time s.transfer_time s.compute_time s.bytes_to_workers s.bytes_from_workers

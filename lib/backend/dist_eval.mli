@@ -4,15 +4,15 @@
     cluster; {!Sched_cpu} only prices that design, and {!Par_eval} runs it
     on shared-memory domains.  This executor crosses the process boundary
     for real: it spawns [workers] OS processes, ships the cloud keyset to
-    each once at startup, and drives the levelized wave schedule by sending
+    each once at startup, and drives the wave schedule by sending
     per-wave gate shards — gate opcodes plus input ciphertexts, serialized
     through {!Pytfhe_util.Wire} inside length-prefixed frames over
     [Unix.socketpair] channels — and collecting result ciphertexts at a
     wave barrier.
 
-    Outputs are bit-exact with {!Tfhe_eval.run} for any worker count: every
-    gate performs the identical torus operation sequence, and the 32-bit
-    ciphertext wire encoding round-trips exactly.
+    Outputs are bit-exact with the sequential executor for any worker
+    count: every gate performs the identical torus operation sequence, and
+    the 32-bit ciphertext wire encoding round-trips exactly.
 
     {b Failure semantics.}  The coordinator never trusts a worker:
 
@@ -31,19 +31,19 @@
     [PYTFHE_DIST_WORKER] environment variable set (posix_spawn under the
     hood, via [Unix.create_process]), because the OCaml 5 runtime forbids
     [Unix.fork] in any process that has ever created a domain — and
-    {!Par_eval} creates domains.  {b Every executable that calls {!run}
-    must call {!worker_entry} as the first thing in main}; the startup
-    handshake fails fast, with a message naming the missing hook, if it
-    does not.
+    {!Par_eval} creates domains.  {b Every executable that calls
+    {!run_stream} must call {!worker_entry} as the first thing in main};
+    the startup handshake fails fast, with a message naming the missing
+    hook, if it does not.
 
     The protocol is documented in [docs/backends.md]. *)
 
 val worker_entry : unit -> unit
-(** In a process spawned by {!run} (recognized by the [PYTFHE_DIST_WORKER]
-    environment variable), serves the gate protocol on the stdin socket
+(** In a process spawned by {!run_stream} (recognized by the
+    [PYTFHE_DIST_WORKER] environment variable), serves the gate protocol on the stdin socket
     and [_exit]s when the coordinator hangs up — it never returns.  In any
     other process it is a no-op.  Call it first in main of every
-    executable that uses {!run}. *)
+    executable that uses {!run_stream}. *)
 
 (** {2 Fault injection}
 
@@ -75,13 +75,12 @@ type config = {
   backoff : float;  (** Deadline multiplier per retry ([>= 1]). *)
   heartbeat_interval : float;  (** Liveness-poll period while waiting. *)
   faults : fault list;  (** Fault-injection schedule (tests only). *)
-  array_frames : bool;
-      (** Ship shards as struct-of-arrays [DRQ2]/[DRP2] frames (gate codes
-          plus two flat {!Pytfhe_tfhe.Lwe_array} operand waves, one
-          bounds-checked blit per direction) and evaluate them through the
-          worker's row-batched kernels.  [false] keeps the per-sample
-          [DREQ]/[DREP] framing.  Both are ciphertext-bit-exact. *)
 }
+(** Shards of classic gates travel as struct-of-arrays [DRQ2]/[DRP2]
+    frames (gate codes plus two flat {!Pytfhe_tfhe.Lwe_array} operand
+    waves, evaluated through the worker's row-batched kernels); shards
+    carrying LUT cells as per-record [DREQ]/[DREP] frames.  Both are
+    ciphertext-bit-exact. *)
 
 val config :
   ?request_timeout:float ->
@@ -89,11 +88,10 @@ val config :
   ?backoff:float ->
   ?heartbeat_interval:float ->
   ?faults:fault list ->
-  ?array_frames:bool ->
   int ->
   config
 (** [config workers] with defaults: 60 s timeout, 2 retries, 2x backoff,
-    0.25 s heartbeat, no faults, array frames on.  Raises
+    0.25 s heartbeat, no faults.  Raises
     [Invalid_argument] on nonsense ([workers < 1], non-positive timeout,
     [backoff < 1]). *)
 
@@ -120,37 +118,10 @@ type stats = {
       (** Round-trip seconds not accounted to worker compute: wire
           transfer, frame parsing, barrier waits. *)
   compute_time : float;  (** Sum of worker-reported gate-evaluation seconds. *)
-  wave_wall : float array;  (** Wall seconds per wave. *)
-  wave_width : int array;  (** Bootstrapped gates per wave. *)
+  wave_wall : float array;  (** Wall seconds per executed wave. *)
+  wave_width : int array;  (** Bootstrapped tasks per executed wave. *)
   wall_time : float;
 }
-
-val run :
-  ?opts:Exec_opts.t ->
-  config ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** [run cfg cloud net inputs] forks [cfg.workers] processes and evaluates
-    the program wave by wave across them, returning outputs in declaration
-    order.  Raises [Invalid_argument] on input arity mismatch and [Failure]
-    if every worker is lost.
-
-    With an enabled [obs] sink, the hello frame carries the sink's epoch
-    and each worker collects per-shard spans and crypto counters in a
-    local sink, shipping them back in an optional [DTRC] frame sent just
-    before each reply; the coordinator merges them onto per-worker tracks
-    and adds wave spans, wire-byte / retry / reassignment /
-    heartbeat-miss counters and the noise gauges on a ["coordinator"]
-    track.  A worker lost mid-wave truncates the trace (its unshipped
-    spans die with it) but never corrupts it — a malformed [DTRC] frame
-    is counted in [corrupt_frames] and dropped.
-
-    Batching is worker-side here ([config.array_frames] selects the wire
-    layout), so a caller passing [opts.batch] or a non-default [opts.soa]
-    raises [Invalid_argument] — the knobs used to be documented-ignored,
-    which silently dropped a requested optimization. *)
 
 val run_stream :
   ?opts:Exec_opts.t ->
@@ -160,24 +131,28 @@ val run_stream :
   (unit -> bytes option) ->
   Pytfhe_tfhe.Lwe.sample array ->
   Pytfhe_tfhe.Lwe.sample array * stats
-(** Distributed execution of a streamed binary through
-    {!Stream_exec.run_waves}: the coordinator never materialises a
-    netlist — each wave's resolved-operand tasks convert directly into
-    shard requests (the wire format is unchanged, so workers are
-    oblivious), with the same fault tolerance as {!run}.  Outputs are
-    ciphertext-bit-exact with {!run} for any worker count and any
-    [window].  [stats.wave_width] / [stats.wave_wall] cover executed
-    waves in order rather than netlist levels.  Same [Invalid_argument]
-    contract as {!run} for the batch/soa knobs. *)
+(** [run_stream cfg cloud read inputs] forks [cfg.workers] processes and
+    executes the assembled binary pulled from [read] through
+    {!Stream_exec.run_waves}: each wave's resolved-operand tasks convert
+    directly into shard requests, so the coordinator never materialises a
+    program graph and workers stay oblivious to it.  Outputs follow the
+    output-instruction order and are ciphertext-bit-exact with the
+    sequential executor for any worker count and any [window].  Raises
+    [Invalid_argument] on input arity mismatch and [Failure] if every
+    worker is lost.
 
-val run_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  config ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** @deprecated The pre-{!Exec_opts} signature, kept for one release. *)
+    With an enabled [opts.obs] sink, the hello frame carries the sink's
+    epoch and each worker collects per-shard spans and crypto counters in
+    a local sink, shipping them back in an optional [DTRC] frame sent just
+    before each reply; the coordinator merges them onto per-worker tracks,
+    and the wave driver adds wave spans with wire-byte / retry /
+    reassignment / heartbeat-miss counters and the noise gauges on a
+    ["coordinator"] track.  A worker lost mid-wave truncates the trace (its
+    unshipped spans die with it) but never corrupts it — a malformed
+    [DTRC] frame is counted in [corrupt_frames] and dropped.
+
+    Batching is worker-side here, so a caller passing [opts.batch] gets
+    [Invalid_argument] rather than a silently dropped optimization. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

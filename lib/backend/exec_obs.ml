@@ -1,7 +1,8 @@
 (* Shared probe helpers for the executors.
 
-   Every backend emits the same per-wave counter vocabulary so the flat
-   metrics export is comparable across Cpu / Multicore / Multiprocess:
+   The wave driver emits the same per-wave counter vocabulary for every
+   backend, so the flat metrics export is comparable across Cpu /
+   Multicore / Multiprocess:
    [bootstraps], [key_switches], [ffts], [nots], [wave_width],
    [alloc_words], plus two noise gauges sampled once per run from the
    keyset's parameter set.
@@ -29,11 +30,16 @@ let noise_gauges tr (p : Params.t) =
   Trace.gauge tr ~name:"gate_failure_probability"
     (Noise.gate_failure_probability p)
 
-let wave_counters tr (p : Params.t) ~bootstraps ~nots ~width ~alloc_words =
+(* The crypto-cost counters of [bootstraps] blind rotations, each followed
+   by one key switch.  Emitted wherever the rotations run: per wave by the
+   wave driver, per shard by a multiprocess worker. *)
+let crypto_counters tr (p : Params.t) ~bootstraps =
   Trace.counter tr ~name:"bootstraps" (float_of_int bootstraps);
   Trace.counter tr ~name:"key_switches" (float_of_int bootstraps);
   Trace.counter tr ~name:"ffts"
-    (float_of_int (bootstraps * ffts_per_bootstrap p));
+    (float_of_int (bootstraps * ffts_per_bootstrap p))
+
+let wave_counters tr ~nots ~width ~alloc_words =
   Trace.counter tr ~name:"nots" (float_of_int nots);
   Trace.counter tr ~name:"wave_width" (float_of_int width);
   Trace.counter tr ~name:"alloc_words" alloc_words
@@ -52,7 +58,7 @@ let bsk_row_bytes (p : Params.t) = Bootstrap.row_bytes p
 let ks_block_bytes (p : Params.t) = (1 lsl p.ks.base_bit) * (p.lwe.n + 1) * 4
 
 (* Per-wave counters for the batched execution path, emitted in addition to
-   {!wave_counters} when a [?batch] executor runs traced.  [batch_fill] is
+   {!wave_counters} when a batched executor runs traced.  [batch_fill] is
    the mean occupancy of the launches in this wave (1.0 = every launch
    full). *)
 let batch_wave_counters tr (p : Params.t) ~cap ~launches ~gates ~bsk_rows ~ks_blocks =

@@ -1,19 +1,14 @@
 type t = {
   obs : Pytfhe_obs.Trace.sink;
   batch : int option;
-  soa : bool;
 }
 
-let default = { obs = Pytfhe_obs.Trace.null; batch = None; soa = true }
-
-let of_flags ?(obs = Pytfhe_obs.Trace.null) ?batch ?(soa = default.soa) () =
-  { obs; batch; soa }
+let default = { obs = Pytfhe_obs.Trace.null; batch = None }
 
 let check_scalar_only ~who t =
-  if t.batch <> None || t.soa <> default.soa then
+  if t.batch <> None then
     invalid_arg
       (who
-     ^ ": the batch/soa execution knobs are not supported by this backend \
-        (batching is worker-side for the multiprocess executor — use \
-        config.array_frames — and meaningless for the instruction-stream \
-        executor)")
+     ^ ": opts.batch is not supported by this backend (the multiprocess \
+        executor batches worker-side, and the in-order instruction-stream \
+        executor is scalar by design)")

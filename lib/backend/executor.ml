@@ -1,7 +1,6 @@
 type opts = Exec_opts.t = {
   obs : Pytfhe_obs.Trace.sink;
   batch : int option;
-  soa : bool;
 }
 
 let default_opts = Exec_opts.default
@@ -25,13 +24,6 @@ type stats = {
 module type S = sig
   val name : string
 
-  val run :
-    ?opts:opts ->
-    Pytfhe_tfhe.Gates.cloud_keyset ->
-    Pytfhe_circuit.Netlist.t ->
-    Pytfhe_tfhe.Lwe.sample array ->
-    Pytfhe_tfhe.Lwe.sample array * stats
-
   val run_stream :
     ?opts:opts ->
     ?window:int ->
@@ -44,20 +36,6 @@ end
 let cpu : (module S) =
   (module struct
     let name = "cpu"
-
-    let run ?opts cloud net inputs =
-      let outputs, s = Tfhe_eval.run ?opts cloud net inputs in
-      ( outputs,
-        {
-          backend = name;
-          workers = 1;
-          bootstraps_executed = s.Tfhe_eval.bootstraps_executed;
-          nots_executed = s.Tfhe_eval.nots_executed;
-          wall_time = s.Tfhe_eval.wall_time;
-          wave_wall = s.Tfhe_eval.wave_wall;
-          wave_width = s.Tfhe_eval.wave_width;
-          detail = Cpu_stats s;
-        } )
 
     let run_stream ?opts ?window cloud read inputs =
       let outputs, s = Stream_exec.run_encrypted_stream ?opts ?window cloud read inputs in
@@ -77,20 +55,6 @@ let cpu : (module S) =
 let multicore ?workers () : (module S) =
   (module struct
     let name = "par"
-
-    let run ?opts cloud net inputs =
-      let outputs, s = Par_eval.run ?workers ?opts cloud net inputs in
-      ( outputs,
-        {
-          backend = name;
-          workers = s.Par_eval.workers;
-          bootstraps_executed = s.Par_eval.bootstraps_executed;
-          nots_executed = s.Par_eval.nots_executed;
-          wall_time = s.Par_eval.wall_time;
-          wave_wall = s.Par_eval.wave_wall;
-          wave_width = s.Par_eval.wave_width;
-          detail = Multicore_stats s;
-        } )
 
     let run_stream ?opts ?window cloud read inputs =
       let outputs, s = Par_eval.run_stream ?workers ?opts ?window cloud read inputs in
@@ -116,25 +80,9 @@ let multiprocess ?workers ?config () : (module S) =
   (module struct
     let name = "dist"
 
-    (* The multiprocess executor ships gates over the wire one shard at a
-       time; key streaming happens worker-side, so a requested
-       [opts.batch]/non-default [opts.soa] raises Invalid_argument in
-       [Dist_eval.run] instead of being silently dropped (the wire side
-       of the layout is [config.array_frames]). *)
-    let run ?opts cloud net inputs =
-      let outputs, s = Dist_eval.run ?opts cfg cloud net inputs in
-      ( outputs,
-        {
-          backend = name;
-          workers = s.Dist_eval.workers_started;
-          bootstraps_executed = s.Dist_eval.bootstraps_executed;
-          nots_executed = s.Dist_eval.nots_executed;
-          wall_time = s.Dist_eval.wall_time;
-          wave_wall = s.Dist_eval.wave_wall;
-          wave_width = s.Dist_eval.wave_width;
-          detail = Multiprocess_stats s;
-        } )
-
+    (* Batching happens worker-side, so a requested [opts.batch] raises
+       Invalid_argument in [Dist_eval.run_stream] instead of being
+       silently dropped. *)
     let run_stream ?opts ?window cloud read inputs =
       let outputs, s = Dist_eval.run_stream ?opts ?window cfg cloud read inputs in
       ( outputs,

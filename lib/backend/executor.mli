@@ -2,12 +2,13 @@
     one stats record every caller consumes, one options record every
     caller passes.
 
-    {!Tfhe_eval}, {!Par_eval} and {!Dist_eval} each grew their own run
-    function and mutually incompatible stats; this module packages them as
-    first-class modules of a common signature {!S} so callers — the
-    server, the CLI, the bench harness, the service scheduler — select a
-    backend as a value and handle results uniformly.  Backend-specific
-    numbers stay reachable through {!type-stats.detail}. *)
+    The sequential, multicore and multiprocess executors all run the
+    assembled binary through one wave driver ({!Stream_exec.run_waves});
+    this module packages them as first-class modules of a common
+    signature {!S} so callers — the server, the CLI, the bench harness,
+    the service — select a backend as a value and handle results
+    uniformly.  Backend-specific numbers stay reachable through
+    {!type-stats.detail}. *)
 
 type opts = Exec_opts.t = {
   obs : Pytfhe_obs.Trace.sink;
@@ -16,19 +17,12 @@ type opts = Exec_opts.t = {
       (** [Some b] routes batching-capable executors through the
           key-streaming batched kernel in sub-batches of at most [b]
           gates; [None] is the scalar per-gate path. *)
-  soa : bool;
-      (** Batched runs keep values in struct-of-arrays
-          {!Pytfhe_tfhe.Lwe_array}s and use the row kernels (the
-          default); [false] selects the record-per-gate batched walk.
-          Ignored without [batch]. *)
 }
-(** The consolidated execution options, replacing the [?obs ?batch ?soa]
-    flag triple that used to be threaded through every layer.  Build one
-    by updating {!default_opts}:
-    [{ Executor.default_opts with batch = Some 8 }]. *)
+(** The consolidated execution options.  Build one by updating
+    {!default_opts}: [{ Executor.default_opts with batch = Some 8 }]. *)
 
 val default_opts : opts
-(** [{ obs = Trace.null; batch = None; soa = true }]. *)
+(** [{ obs = Trace.null; batch = None }]. *)
 
 type detail =
   | Cpu_stats of Tfhe_eval.stats
@@ -39,24 +33,17 @@ type stats = {
   backend : string;  (** The implementing module's {!S.name}. *)
   workers : int;  (** Domains or processes used; 1 for the CPU backend. *)
   bootstraps_executed : int;
+      (** Blind rotations performed; fewer than the bootstrapped tasks
+          when LUT cells shared a rotation. *)
   nots_executed : int;
   wall_time : float;  (** End-to-end wall seconds. *)
-  wave_wall : float array;
-      (** Wall seconds per wave (empty where the backend did not execute
-          wave by wave — the untraced CPU walk). *)
-  wave_width : int array;  (** Bootstrapped gates per wave (ditto). *)
+  wave_wall : float array;  (** Wall seconds per executed wave. *)
+  wave_width : int array;  (** Bootstrapped tasks per executed wave. *)
   detail : detail;  (** The backend's full native stats. *)
 }
 
 module type S = sig
   val name : string
-
-  val run :
-    ?opts:opts ->
-    Pytfhe_tfhe.Gates.cloud_keyset ->
-    Pytfhe_circuit.Netlist.t ->
-    Pytfhe_tfhe.Lwe.sample array ->
-    Pytfhe_tfhe.Lwe.sample array * stats
 
   val run_stream :
     ?opts:opts ->
@@ -65,22 +52,24 @@ module type S = sig
     (unit -> bytes option) ->
     Pytfhe_tfhe.Lwe.sample array ->
     Pytfhe_tfhe.Lwe.sample array * stats
-  (** Execute a streamed binary pulled from a chunked source, without
-      materialising a netlist, through {!Stream_exec.run_waves} (segment
-      size [window] queued bootstraps; see
-      {!Pytfhe_circuit.Binary.read_source} for a file-backed source).
-      Outputs are ciphertext-bit-exact with [run] over the parsed
-      netlist.  [stats.wave_width]/[wave_wall] cover executed waves in
-      order; [opts.soa] is ignored on the streaming path. *)
+  (** Execute an assembled binary pulled from a chunked source through
+      {!Stream_exec.run_waves}, in segments of at most [window] queued
+      bootstraps (default 32768; [max_int] runs one segment, whose waves
+      are exactly {!Pytfhe_circuit.Levelize.waves}).  Feed a resident
+      binary with {!Pytfhe_circuit.Binary.source_of_bytes}, a file with
+      {!Pytfhe_circuit.Binary.read_source}; callers holding a netlist
+      assemble it first ({!Pytfhe_circuit.Binary.assemble}).  Inputs and
+      outputs follow the binary's declaration order.
+      [stats.wave_width]/[wave_wall] cover executed waves in order. *)
 end
 (** Outputs are ciphertext-bit-exact across all implementations, batch
-    sizes and layouts.  The multiprocess backend raises
-    [Invalid_argument] when [opts] asks for batch or a non-default SoA
-    layout (batching is worker-side there; the wire layout is
-    [config.array_frames]). *)
+    sizes and windows.  The multiprocess backend raises
+    [Invalid_argument] when [opts] asks for batching (batching is
+    worker-side there). *)
 
 val cpu : (module S)
-(** {!Tfhe_eval} — sequential, the correctness baseline.  Name ["cpu"]. *)
+(** {!Stream_exec.run_encrypted_stream} — sequential, the correctness
+    baseline.  Name ["cpu"]. *)
 
 val multicore : ?workers:int -> unit -> (module S)
 (** {!Par_eval} on [workers] domains (default

@@ -1,18 +1,18 @@
-(* Real multicore evaluation of TFHE netlists on OCaml 5 domains.
+(* Real multicore evaluation of TFHE programs on OCaml 5 domains.
 
-   The gate DAG is cut into waves by Levelize (the paper's Algorithm 1); a
-   wave's bootstrapped gates have all their fan-ins in earlier waves, so
-   they execute concurrently with static chunking across a fork-join domain
-   pool.  Each domain owns a private Gates.context (TGSW workspace, FFT
-   scratch, test-vector buffer); the only shared mutable state is the dense
-   value table, and every wave writes a disjoint slice of it, with the
-   pool's mutex handshake providing the inter-wave happens-before edge.
+   The wave driver (Stream_exec.run_waves) cuts the instruction stream into
+   waves (the paper's Algorithm 1); a wave's bootstrapped tasks have all
+   their operands in earlier waves, so they execute concurrently with
+   static chunking across a fork-join domain pool.  Each domain owns a
+   private Gates.context (TGSW workspace, FFT scratch, test-vector buffer);
+   the only shared mutable state is the wave's result array, and every
+   domain writes a disjoint slice of it, with the pool's mutex handshake
+   providing the inter-wave happens-before edge.
 
-   The executor is bit-exact with Tfhe_eval.run: each gate performs the
-   identical float/torus operation sequence, only on a different domain. *)
+   The executor is bit-exact with the sequential one: each gate performs
+   the identical float/torus operation sequence, only on a different
+   domain. *)
 
-module Netlist = Pytfhe_circuit.Netlist
-module Gate = Pytfhe_circuit.Gate
 module Levelize = Pytfhe_circuit.Levelize
 module Trace = Pytfhe_obs.Trace
 open Pytfhe_tfhe
@@ -133,67 +133,45 @@ let pool_shutdown pool =
 (* Executor                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Wave-synchronous upper bound on speedup: with unit gate cost, [workers]
+(* Wave-synchronous upper bound on speedup: with unit task cost, [workers]
    domains need ceil(width / workers) rounds per wave. *)
-let ideal_speedup (sched : Levelize.schedule) workers =
+let ideal_of_widths widths workers =
   let rounds =
     Array.fold_left
       (fun acc w -> if w > 0 then acc + ((w + workers - 1) / workers) else acc)
-      0 sched.Levelize.widths
+      0 widths
   in
-  if rounds = 0 then 1.0 else float_of_int sched.Levelize.total_bootstraps /. float_of_int rounds
+  if rounds = 0 then 1.0
+  else float_of_int (Array.fold_left ( + ) 0 widths) /. float_of_int rounds
 
-let run_legacy ?workers ?batch ?(soa = true) ?(obs = Trace.null) cloud net inputs =
+let ideal_speedup (sched : Levelize.schedule) workers =
+  ideal_of_widths sched.Levelize.widths workers
+
+(* Each wave's resolved-operand tasks fan out over the domain pool: classic
+   gates statically chunked, LUT rotation units distributed whole so each
+   group's indicator rotation happens exactly once, on one domain.  A
+   domain runs its share scalar through its private context, or in
+   sub-batches through its private batch context.  The per-gate operation
+   sequence matches the sequential runner, so outputs are
+   ciphertext-bit-exact with it for any worker count and any window. *)
+let run_stream ?workers ?(opts = Exec_opts.default) ?window cloud read inputs =
   let workers =
     match workers with Some w -> w | None -> Domain.recommended_domain_count ()
   in
-  if workers < 1 then invalid_arg "Par_eval.run: workers must be >= 1";
+  if workers < 1 then invalid_arg "Par_eval.run_stream: workers must be >= 1";
+  let batch = opts.Exec_opts.batch in
   (match batch with
-  | Some b when b < 1 -> invalid_arg "Par_eval.run: batch must be >= 1"
+  | Some b when b < 1 -> invalid_arg "Par_eval.run_stream: batch must be >= 1"
   | Some _ | None -> ());
-  let use_soa = soa && batch <> None in
-  let input_list = Netlist.inputs net in
-  if Array.length inputs <> List.length input_list then
-    invalid_arg "Par_eval.run: input arity mismatch";
   (* Transform tables (FFT twiddles or NTT residue tables) are built once
      here, before any worker domain exists: the caches are atomic
      snapshot/CAS lists, so a helper domain racing a first build would
      duplicate work and churn the cache mid-wave. *)
   Params.precompute cloud.Gates.cloud_params;
   let start = Unix.gettimeofday () in
-  let sched = Levelize.run net in
-  let waves = Levelize.waves sched net in
-  let n = Netlist.node_count net in
-  let lwe_n = cloud.Gates.cloud_params.Params.lwe.Params.n in
-  (* On the SoA batched path the whole value table is one flat struct of
-     arrays (node id = row); the record table shrinks to nothing.  Helper
-     domains write disjoint row ranges of the shared bigarrays, and the
-     pool's mutex handshake provides the inter-wave happens-before edge
-     exactly as it does for the record table. *)
-  let values : Lwe.sample option array = Array.make (if use_soa then 0 else n) None in
-  let svalues = Lwe_array.create ~n:lwe_n (if use_soa then n else 0) in
-  List.iteri
-    (fun i (_, id) ->
-      if use_soa then Lwe_array.set svalues id inputs.(i) else values.(id) <- Some inputs.(i))
-    input_list;
-  for id = 0 to n - 1 do
-    match Netlist.kind net id with
-    | Netlist.Const b ->
-      if use_soa then Lwe_array.set svalues id (Gates.constant cloud b)
-      else values.(id) <- Some (Gates.constant cloud b)
-    | Netlist.Input _ | Netlist.Gate _ | Netlist.Lut _ -> ()
-  done;
-  (* Value accessors shared by the three chunk variants: [get_raw] returns
-     the stored (possibly lutdom) ciphertext, [get_classic] applies the
-     lutdom → classic view at classic use sites. *)
-  let get_raw id = if use_soa then Lwe_array.get svalues id else Option.get values.(id) in
-  let set_value id v =
-    if use_soa then Lwe_array.set svalues id v else values.(id) <- Some v
-  in
-  let get_classic id =
-    let v = get_raw id in
-    if Netlist.is_lut net id then Gates.lut_to_classic v else v
-  in
+  let obs = opts.Exec_opts.obs in
+  let p = cloud.Gates.cloud_params in
+  let lwe_n = p.Params.lwe.Params.n in
   (* One private context per domain: contexts.(0) belongs to the caller.
      Scalar contexts are only needed on the per-gate path, batch contexts
      only on the batched one. *)
@@ -211,403 +189,81 @@ let run_legacy ?workers ?batch ?(soa = true) ?(obs = Trace.null) cloud net input
      domains' counter updates visible. *)
   let batch_totals () =
     Array.fold_left
-      (fun (l, g, r, k) bc ->
+      (fun acc bc ->
         let c = Gates.batch_counters bc in
-        ( l + c.Gates.batch_launches,
-          g + c.Gates.batch_gates,
-          r + c.Gates.bsk_rows,
-          k + c.Gates.ks_blocks ))
-      (0, 0, 0, 0) batch_ctxs
+        {
+          Gates.batch_launches = acc.Gates.batch_launches + c.Gates.batch_launches;
+          batch_gates = acc.Gates.batch_gates + c.Gates.batch_gates;
+          bsk_rows = acc.Gates.bsk_rows + c.Gates.bsk_rows;
+          ks_blocks = acc.Gates.ks_blocks + c.Gates.ks_blocks;
+        })
+      { Gates.batch_launches = 0; batch_gates = 0; bsk_rows = 0; ks_blocks = 0 }
+      batch_ctxs
   in
   let per_domain_bootstraps = Array.make workers 0 in
   let per_domain_busy = Array.make workers 0.0 in
-  let nwaves = Array.length waves in
-  let wave_wall = Array.make nwaves 0.0 in
-  let wave_width = Array.map (fun w -> Array.length w.Levelize.parallel) waves in
-  let nots = ref 0 in
-  (* Probe plumbing: on a disabled sink every track is the no-op dummy and
-     [traced] gates the handful of extra clock reads per wave; the per-gate
-     inner loop is untouched either way. *)
   let traced = Trace.enabled obs in
   let ep = Trace.epoch obs in
   let dom_tracks =
-    Array.init workers (fun d ->
-        Trace.new_track obs ~name:(Printf.sprintf "domain %d" d))
-  in
-  let wave_tr = Trace.new_track obs ~name:"waves" in
-  if traced then Exec_obs.noise_gauges wave_tr cloud.Gates.cloud_params;
-  let eval_chunk w gates d =
-    (* Static chunking: domain d owns the contiguous slice [lo, hi). *)
-    let width = Array.length gates in
-    let lo = d * width / workers and hi = (d + 1) * width / workers in
-    if lo < hi then begin
-      let ctx = contexts.(d) in
-      let t0 = Unix.gettimeofday () in
-      for i = lo to hi - 1 do
-        let id = gates.(i) in
-        match Netlist.kind net id with
-        | Netlist.Gate (g, a, b) ->
-          let va = get_classic a and vb = get_classic b in
-          values.(id) <- Some (Tfhe_eval.apply_gate ctx g va vb);
-          per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + 1
-        | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ -> assert false
-      done;
-      let t1 = Unix.gettimeofday () in
-      per_domain_busy.(d) <- per_domain_busy.(d) +. (t1 -. t0);
-      if traced then
-        (* Safe without locks: each domain writes only its own track. *)
-        Trace.span dom_tracks.(d) ~cat:"chunk"
-          ~name:(Printf.sprintf "wave %d [%d,%d)" w lo hi)
-          ~t0:(t0 -. ep) ~t1:(t1 -. ep)
-    end
-  in
-  (* The batched variant: same static chunking, but domain d walks its
-     slice in sub-batches of at most [b] gates through its private
-     key-streaming batch context.  Per gate the combine → bootstrap →
-     key-switch sequence is identical to the scalar chunk, so outputs stay
-     bit-exact regardless of workers × batch. *)
-  let eval_chunk_batched b w gates d =
-    let width = Array.length gates in
-    let lo = d * width / workers and hi = (d + 1) * width / workers in
-    if lo < hi then begin
-      let bc = batch_ctxs.(d) in
-      let t0 = Unix.gettimeofday () in
-      let pos = ref lo in
-      while !pos < hi do
-        let len = min b (hi - !pos) in
-        let base = !pos in
-        let combined =
-          Array.init len (fun i ->
-              match Netlist.kind net gates.(base + i) with
-              | Netlist.Gate (g, a, b') ->
-                let va = get_classic a and vb = get_classic b' in
-                Gates.combine ~n:lwe_n (Tfhe_eval.plan_of g) va vb
-              | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ -> assert false)
-        in
-        let outs = Gates.bootstrap_batch bc combined in
-        for i = 0 to len - 1 do
-          values.(gates.(base + i)) <- Some outs.(i)
-        done;
-        per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + len;
-        pos := base + len
-      done;
-      let t1 = Unix.gettimeofday () in
-      per_domain_busy.(d) <- per_domain_busy.(d) +. (t1 -. t0);
-      if traced then
-        Trace.span dom_tracks.(d) ~cat:"chunk"
-          ~name:(Printf.sprintf "wave %d [%d,%d)" w lo hi)
-          ~t0:(t0 -. ep) ~t1:(t1 -. ep)
-    end
-  in
-  (* The SoA batched variant: one staging array covers the widest wave, and
-     domain d combines its slice [lo, hi) of gates straight into staging
-     rows [lo, hi) from the shared value table — no per-gate records.  Each
-     sub-batch is an O(1) slice view of the staging rows, runs through the
-     domain's private row-batched context, and the output rows are blitted
-     back to the value table.  Row ranges are disjoint across domains, so
-     the shared bigarrays need no locking beyond the wave barrier. *)
-  let wave_staging =
-    Lwe_array.create ~n:lwe_n
-      (if use_soa then max 1 (Array.fold_left max 1 wave_width) else 0)
-  in
-  let eval_chunk_soa b w gates d =
-    let width = Array.length gates in
-    let lo = d * width / workers and hi = (d + 1) * width / workers in
-    if lo < hi then begin
-      let bc = batch_ctxs.(d) in
-      let t0 = Unix.gettimeofday () in
-      for i = lo to hi - 1 do
-        match Netlist.kind net gates.(i) with
-        | Netlist.Gate (g, a, b') ->
-          if Netlist.is_lut net a || Netlist.is_lut net b' then
-            (* Lutdom operand: materialize the classic views and combine
-               through the record path into the staging row. *)
-            Lwe_array.set wave_staging i
-              (Gates.combine ~n:lwe_n (Tfhe_eval.plan_of g) (get_classic a) (get_classic b'))
-          else
-            Gates.combine_rows_into (Tfhe_eval.plan_of g) ~a:svalues ~arow:a ~b:svalues
-              ~brow:b' ~dst:wave_staging ~drow:i
-        | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ -> assert false
-      done;
-      let pos = ref lo in
-      while !pos < hi do
-        let len = min b (hi - !pos) in
-        let base = !pos in
-        let outs = Gates.bootstrap_batch_rows bc (Lwe_array.slice wave_staging ~pos:base ~len) in
-        for i = 0 to len - 1 do
-          Lwe_array.blit ~src:outs ~src_pos:i ~dst:svalues ~dst_pos:gates.(base + i) ~len:1
-        done;
-        per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + len;
-        pos := base + len
-      done;
-      let t1 = Unix.gettimeofday () in
-      per_domain_busy.(d) <- per_domain_busy.(d) +. (t1 -. t0);
-      if traced then
-        Trace.span dom_tracks.(d) ~cat:"chunk"
-          ~name:(Printf.sprintf "wave %d [%d,%d)" w lo hi)
-          ~t0:(t0 -. ep) ~t1:(t1 -. ep)
-    end
+    Array.init workers (fun d -> Trace.new_track obs ~name:(Printf.sprintf "domain %d" d))
   in
   let pool = pool_create (workers - 1) in
-  Fun.protect
-    ~finally:(fun () -> pool_shutdown pool)
-    (fun () ->
-      Array.iteri
-        (fun w wave ->
-          let t0 = Unix.gettimeofday () in
-          let a0 = if traced then Exec_obs.alloc_words () else 0.0 in
-          let c0 = if traced then batch_totals () else (0, 0, 0, 0) in
-          let nots0 = !nots in
-          let classic, luts = Tfhe_eval.partition_wave net wave.Levelize.parallel in
-          if Array.length classic > 0 then
-            pool_run pool
-              (match batch with
-              | None -> eval_chunk w classic
-              | Some b when use_soa -> eval_chunk_soa b w classic
-              | Some b -> eval_chunk_batched b w classic);
-          (* LUT cells run after the wave's classic gates, chunked across the
-             same domain pool by rotation unit: every cell is written by
-             exactly one domain, and cells never split a rotation group, so
-             memoized rotations stay deterministic and outputs bit-exact with
-             the sequential executor for every worker count. *)
-          if Array.length luts > 0 then begin
-            let cells = Tfhe_eval.build_lut_cells net luts in
-            let total = Array.length cells in
-            pool_run pool (fun d ->
-                let lo = d * total / workers and hi = (d + 1) * total / workers in
-                if lo < hi then begin
-                  let t0 = Unix.gettimeofday () in
-                  let slice = Array.sub cells lo (hi - lo) in
-                  let rots =
-                    match batch with
-                    | None ->
-                      Tfhe_eval.run_lut_cells_scalar net ~get:get_raw ~set:set_value
-                        contexts.(d) slice
-                    | Some b ->
-                      Tfhe_eval.run_lut_cells net ~get:get_raw ~set:set_value batch_ctxs.(d)
-                        ~batch:b ~n:lwe_n slice
-                  in
-                  per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + rots;
-                  let t1 = Unix.gettimeofday () in
-                  per_domain_busy.(d) <- per_domain_busy.(d) +. (t1 -. t0);
-                  if traced then
-                    Trace.span dom_tracks.(d) ~cat:"chunk"
-                      ~name:(Printf.sprintf "wave %d luts [%d,%d)" w lo hi)
-                      ~t0:(t0 -. ep) ~t1:(t1 -. ep)
-                end)
-          end;
-          (* Noiseless NOTs ride along on the coordinating domain: they may
-             read this wave's fresh results, and cost one vector negation. *)
-          Array.iter
-            (fun id ->
-              match Netlist.kind net id with
-              | Netlist.Gate (g, a, _) when Gate.is_unary g ->
-                if use_soa then begin
-                  if Netlist.is_lut net a then
-                    Lwe_array.set svalues id (Lwe.neg (get_classic a))
-                  else Lwe_array.neg_into ~dst:svalues ~drow:id ~src:svalues ~srow:a
-                end
-                else values.(id) <- Some (Lwe.neg (get_classic a));
-                incr nots
-              | Netlist.Gate _ | Netlist.Input _ | Netlist.Const _ | Netlist.Lut _ ->
-                assert false)
-            wave.Levelize.inline;
-          let t1 = Unix.gettimeofday () in
-          wave_wall.(w) <- t1 -. t0;
-          if traced then begin
-            Trace.span wave_tr ~cat:"wave"
-              ~name:(Printf.sprintf "wave %d" w)
-              ~t0:(t0 -. ep) ~t1:(t1 -. ep);
-            Exec_obs.wave_counters wave_tr cloud.Gates.cloud_params
-              ~bootstraps:wave_width.(w) ~nots:(!nots - nots0)
-              ~width:wave_width.(w)
-              (* Coordinator-domain allocations only: [Gc.allocated_bytes]
-                 is per-domain in OCaml 5. *)
-              ~alloc_words:(Exec_obs.alloc_words () -. a0);
-            (match batch with
-            | Some b ->
-              let l0, g0, r0, k0 = c0 in
-              let l1, g1, r1, k1 = batch_totals () in
-              Exec_obs.batch_wave_counters wave_tr cloud.Gates.cloud_params ~cap:b
-                ~launches:(l1 - l0) ~gates:(g1 - g0) ~bsk_rows:(r1 - r0)
-                ~ks_blocks:(k1 - k0)
-            | None -> ());
-            (* The pool barrier just passed: every helper domain is idle,
-               so their single-writer buffers are safe to collect. *)
-            Trace.drain obs
+  let wave = ref 0 in
+  (* Static chunking: domain d owns the contiguous slice [lo, hi) of [len]
+     units and records its busy time, rotation count and (traced) one chunk
+     span on its own lock-free track. *)
+  let fan_out ~what len work =
+    if len > 0 then
+      pool_run pool (fun d ->
+          let lo = d * len / workers and hi = (d + 1) * len / workers in
+          if lo < hi then begin
+            let t0 = Unix.gettimeofday () in
+            work d lo (hi - lo);
+            let t1 = Unix.gettimeofday () in
+            per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + (hi - lo);
+            per_domain_busy.(d) <- per_domain_busy.(d) +. (t1 -. t0);
+            if traced then
+              Trace.span dom_tracks.(d) ~cat:"chunk"
+                ~name:(Printf.sprintf "wave %d %s[%d,%d)" !wave what lo hi)
+                ~t0:(t0 -. ep) ~t1:(t1 -. ep)
           end)
-        waves);
-  let outputs =
-    Netlist.outputs net |> List.map (fun (_, id) -> get_classic id) |> Array.of_list
   in
-  let wall_time = Unix.gettimeofday () -. start in
-  let busy = Array.fold_left ( +. ) 0.0 per_domain_busy in
-  let launches, _, rows, blocks = batch_totals () in
-  let p = cloud.Gates.cloud_params in
-  ( outputs,
-    {
-      workers;
-      bootstraps_executed = Array.fold_left ( + ) 0 per_domain_bootstraps;
-      nots_executed = !nots;
-      per_domain_bootstraps;
-      per_domain_busy;
-      wave_wall;
-      wave_width;
-      wall_time;
-      achieved_speedup = (if wall_time > 0.0 then busy /. wall_time else 0.0);
-      ideal_speedup = ideal_speedup sched workers;
-      batch_size = (match batch with Some b -> b | None -> 0);
-      batch_launches = launches;
-      bsk_bytes_streamed = rows * Exec_obs.bsk_row_bytes p;
-      ks_bytes_streamed = blocks * Exec_obs.ks_block_bytes p;
-    } )
-
-let run ?workers ?(opts = Exec_opts.default) cloud net inputs =
-  run_legacy ?workers ?batch:opts.Exec_opts.batch ~soa:opts.Exec_opts.soa
-    ~obs:opts.Exec_opts.obs cloud net inputs
-
-(* --- Streaming execution --------------------------------------------------
-
-   Multicore execution of a streamed binary through the segmented wave
-   driver: each wave's resolved-operand tasks are fanned out over the
-   domain pool — classic gates statically chunked (scalar or through
-   per-domain batch contexts), LUT rotation units distributed whole so each
-   group's indicator rotation happens exactly once.  The per-gate operation
-   sequence matches [run], so outputs are ciphertext-bit-exact with it (and
-   with [Tfhe_eval]) for any worker count and any window. *)
-
-let run_stream ?workers ?(opts = Exec_opts.default) ?window cloud read inputs =
-  let workers =
-    match workers with Some w -> w | None -> Domain.recommended_domain_count ()
-  in
-  if workers < 1 then invalid_arg "Par_eval.run_stream: workers must be >= 1";
-  let batch = opts.Exec_opts.batch in
-  (match batch with
-  | Some b when b < 1 -> invalid_arg "Par_eval.run_stream: batch must be >= 1"
-  | Some _ | None -> ());
-  (* Transform tables must exist before any helper domain does — see
-     [run_legacy]. *)
-  Params.precompute cloud.Gates.cloud_params;
-  let start = Unix.gettimeofday () in
-  let obs = opts.Exec_opts.obs in
-  let p = cloud.Gates.cloud_params in
-  let lwe_n = p.Params.lwe.Params.n in
-  let contexts = Array.init workers (fun _ -> Gates.context cloud) in
-  let batch_ctxs =
-    match batch with
-    | None -> [||]
-    | Some b -> Array.init workers (fun _ -> Gates.batch_context cloud ~cap:b)
-  in
-  let batch_totals () =
-    Array.fold_left
-      (fun (l, r, k) bc ->
-        let c = Gates.batch_counters bc in
-        (l + c.Gates.batch_launches, r + c.Gates.bsk_rows, k + c.Gates.ks_blocks))
-      (0, 0, 0) batch_ctxs
-  in
-  let per_domain_bootstraps = Array.make workers 0 in
-  let per_domain_busy = Array.make workers 0.0 in
-  let pool = pool_create (workers - 1) in
   let run_wave tasks =
-    let total = Array.length tasks in
-    let out = Array.make total None in
-    let gate_idx = ref [] and lut_idx = ref [] in
-    Array.iteri
-      (fun i t ->
-        match t with
-        | Stream_exec.T_gate _ -> gate_idx := i :: !gate_idx
-        | Stream_exec.T_lut _ -> lut_idx := i :: !lut_idx)
-      tasks;
-    let gates = Array.of_list (List.rev !gate_idx) in
-    let cwidth = Array.length gates in
-    if cwidth > 0 then
-      pool_run pool (fun d ->
-          let lo = d * cwidth / workers and hi = (d + 1) * cwidth / workers in
-          if lo < hi then begin
-            let t0 = Unix.gettimeofday () in
-            (match batch with
-            | None ->
-              let ctx = contexts.(d) in
-              for i = lo to hi - 1 do
-                match tasks.(gates.(i)) with
-                | Stream_exec.T_gate { gate; a; b } ->
-                  out.(gates.(i)) <- Some (Tfhe_eval.apply_gate ctx gate a b)
-                | Stream_exec.T_lut _ -> assert false
-              done
-            | Some b ->
-              let bc = batch_ctxs.(d) in
-              let pos = ref lo in
-              while !pos < hi do
-                let len = min b (hi - !pos) in
-                let base = !pos in
-                let combined =
-                  Array.init len (fun i ->
-                      match tasks.(gates.(base + i)) with
-                      | Stream_exec.T_gate { gate; a; b } ->
-                        Gates.combine ~n:lwe_n (Tfhe_eval.plan_of gate) a b
-                      | Stream_exec.T_lut _ -> assert false)
-                in
-                let outs = Gates.bootstrap_batch bc combined in
-                for i = 0 to len - 1 do
-                  out.(gates.(base + i)) <- Some outs.(i)
-                done;
-                pos := !pos + len
-              done);
-            per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + (hi - lo);
-            per_domain_busy.(d) <- per_domain_busy.(d) +. (Unix.gettimeofday () -. t0)
-          end);
-    let cells = Stream_exec.stream_lut_cells tasks (List.rev !lut_idx) in
-    let ncells = Array.length cells in
-    if ncells > 0 then
-      pool_run pool (fun d ->
-          let lo = d * ncells / workers and hi = (d + 1) * ncells / workers in
-          if lo < hi then begin
-            let t0 = Unix.gettimeofday () in
-            let ctx = contexts.(d) in
-            for c = lo to hi - 1 do
-              match cells.(c) with
-              | Stream_exec.C_sign { idx; table; operand } ->
-                out.(idx) <- Some (Gates.lut1_in ctx ~table operand)
-              | Stream_exec.C_group g ->
-                let ind = Gates.lut_indicators_in ctx ~arity:g.arity g.raws in
-                List.iter2
-                  (fun idx table ->
-                    out.(idx) <-
-                      Some (Gates.lut_select_in ctx ~msize:(1 lsl g.arity) ~table ind))
-                  (List.rev g.idxs) (List.rev g.tables)
-            done;
-            per_domain_bootstraps.(d) <- per_domain_bootstraps.(d) + (hi - lo);
-            per_domain_busy.(d) <- per_domain_busy.(d) +. (Unix.gettimeofday () -. t0)
-          end);
-    Array.map (function Some v -> v | None -> assert false) out
-  in
-  let ctx_caller = contexts.(0) in
-  let ops =
+    let gates, cells = Stream_exec.split_wave tasks in
+    let out = Array.make (Array.length tasks) None in
+    fan_out ~what:"" (Array.length gates) (fun d lo len ->
+        let mine = Array.sub gates lo len in
+        match batch with
+        | None -> Stream_exec.run_gates contexts.(d) tasks mine out
+        | Some b -> Stream_exec.run_gates_batched batch_ctxs.(d) ~batch:b ~n:lwe_n tasks mine out);
+    fan_out ~what:"luts " (Array.length cells) (fun d lo len ->
+        let mine = Array.sub cells lo len in
+        match batch with
+        | None -> Stream_exec.run_cells contexts.(d) mine out
+        | Some b -> Stream_exec.run_cells_batched batch_ctxs.(d) ~batch:b ~n:lwe_n mine out);
+    incr wave;
     {
-      Stream_exec.v_gate = (fun g a b -> Tfhe_eval.apply_gate ctx_caller g a b);
-      v_input =
-        (fun i ->
-          if i >= Array.length inputs then
-            invalid_arg "Par_eval.run_stream: wrong number of inputs for the stream"
-          else inputs.(i));
-      v_lut =
-        (fun ~arity ~table ops -> Gates.lut_cell_in ctx_caller ~arity ~table ops);
-      v_lut_view = Gates.lut_to_classic;
+      Stream_exec.results = Array.map (function Some v -> v | None -> assert false) out;
+      rotations = Array.length gates + Array.length cells;
+      counters = [];
+    }
+  in
+  let probe =
+    {
+      Stream_exec.track = "waves";
+      params = p;
+      remote_crypto = false;
+      batch = Option.map (fun b -> (b, batch_totals)) batch;
     }
   in
   let outputs, ws =
     Fun.protect
       ~finally:(fun () -> pool_shutdown pool)
-      (fun () -> Stream_exec.run_waves ~obs ?window ~run_wave ops read)
+      (fun () -> Stream_exec.run_waves ~obs ?window probe ~run_wave read inputs)
   in
   let wall_time = Unix.gettimeofday () -. start in
   let busy = Array.fold_left ( +. ) 0.0 per_domain_busy in
-  let launches, rows, blocks = batch_totals () in
-  let rounds =
-    Array.fold_left
-      (fun acc w -> if w > 0 then acc + ((w + workers - 1) / workers) else acc)
-      0 ws.Stream_exec.wave_widths
-  in
+  let c = batch_totals () in
   ( outputs,
     {
       workers;
@@ -619,13 +275,11 @@ let run_stream ?workers ?(opts = Exec_opts.default) ?window cloud read inputs =
       wave_width = ws.Stream_exec.wave_widths;
       wall_time;
       achieved_speedup = (if wall_time > 0.0 then busy /. wall_time else 0.0);
-      ideal_speedup =
-        (if rounds = 0 then 1.0
-         else float_of_int ws.Stream_exec.bootstraps_run /. float_of_int rounds);
+      ideal_speedup = ideal_of_widths ws.Stream_exec.wave_widths workers;
       batch_size = (match batch with Some b -> b | None -> 0);
-      batch_launches = launches;
-      bsk_bytes_streamed = rows * Exec_obs.bsk_row_bytes p;
-      ks_bytes_streamed = blocks * Exec_obs.ks_block_bytes p;
+      batch_launches = c.Gates.batch_launches;
+      bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
+      ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
     } )
 
 let pp_stats fmt s =

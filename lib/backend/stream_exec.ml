@@ -2,6 +2,9 @@ module Binary = Pytfhe_circuit.Binary
 module Gate = Pytfhe_circuit.Gate
 module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
+module Gates = Pytfhe_tfhe.Gates
+module Lwe = Pytfhe_tfhe.Lwe
+module Params = Pytfhe_tfhe.Params
 
 type 'v ops = {
   v_gate : Gate.t -> 'v -> 'v -> 'v;
@@ -123,31 +126,50 @@ let run_insts ?(obs = Trace.null) ops iter_insts =
   end;
   Array.of_list (List.rev !outputs)
 
-let run_legacy ?obs ops bytes = run_insts ?obs ops (Binary.iter bytes)
 let run_source ?obs ops read = run_insts ?obs ops (Binary.iter_source read)
 
 (* --- Segmented wave driver ------------------------------------------------
 
-   The streaming counterpart of the levelized executors: instructions are
-   consumed as they arrive, but bootstrapped work is queued by wave (level =
-   1 + max operand level within the current segment) and handed to a backend
-   [run_wave] callback one wave at a time, so batching/parallel backends see
-   the same wave structure a materialised netlist would give them.  Once the
-   queued bootstrap count reaches [window], the segment is flushed level by
-   level — peak queued work stays bounded no matter how large the stream is.
+   The one way an encrypted program runs on the cpu, par and dist backends:
+   instructions are consumed as they arrive, but bootstrapped work is
+   queued by wave (level = 1 + max operand level within the current
+   segment) and handed to a backend [run_wave] callback one wave at a time,
+   so batching/parallel backends see the same wave structure a levelized
+   netlist would give them.  Once the queued bootstrap count reaches
+   [window], the segment is flushed level by level — peak queued work stays
+   bounded no matter how large the stream is; with an unbounded window the
+   waves are exactly [Levelize.waves].
 
    NOT gates are noiseless: one whose operand is already computed is
    evaluated inline immediately; one that reads a still-pending wave is
    queued after that wave's parallel phase, in arrival order, exactly like
-   [Levelize.waves]. *)
+   [Levelize.waves].
+
+   The per-wave trace probes live here, once for every backend: a [wave]
+   span and the standard counter set on the backend's track, the batch
+   counter set when the backend batches, and whatever extra counters the
+   backend's runner reports for the wave. *)
 
 type pending =
   | P_gate of { gate : Gate.t; in0 : int; in1 : int; dst : int }
   | P_lut of { table : int; ins : int array; dst : int }
 
-type 'v task =
-  | T_gate of { gate : Gate.t; a : 'v; b : 'v }
-  | T_lut of { arity : int; table : int; operands : 'v array; ins : int array }
+type task =
+  | T_gate of { gate : Gate.t; a : Lwe.sample; b : Lwe.sample }
+  | T_lut of { arity : int; table : int; operands : Lwe.sample array; ins : int array }
+
+type wave_result = {
+  results : Lwe.sample array;
+  rotations : int;
+  counters : (string * int) list;
+}
+
+type probe = {
+  track : string;
+  params : Params.t;
+  remote_crypto : bool;
+  batch : (int * (unit -> Gates.batch_counters)) option;
+}
 
 type wave_stats = {
   segments_run : int;
@@ -158,9 +180,13 @@ type wave_stats = {
   wave_wall : float array;
 }
 
-let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
+let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) probe ~run_wave read inputs =
   if window < 1 then invalid_arg "Stream_exec.run_waves: window must be positive";
   let t_start = Trace.now obs in
+  let traced = Trace.enabled obs in
+  let ep = Trace.epoch obs in
+  let tr = Trace.new_track obs ~name:probe.track in
+  if traced then Exec_obs.noise_gauges tr probe.params;
   (* Slot table: value (None while pending), lutdom flag, segment level
      (-1 unassigned, 0 computed, >0 pending in the current segment). *)
   let cap = ref 16 in
@@ -194,7 +220,7 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
   in
   let classic index =
     match !values.(index) with
-    | Some v -> if !is_lut.(index) then ops.v_lut_view v else v
+    | Some v -> if !is_lut.(index) then Gates.lut_to_classic v else v
     | None -> failwith "Stream_exec: reference to an unassigned index"
   in
   let raw index =
@@ -234,6 +260,38 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
       T_lut { arity; table; operands; ins }
   in
   let dst_of = function P_gate { dst; _ } -> dst | P_lut { dst; _ } -> dst in
+  let batch_snapshot () =
+    match probe.batch with Some (_, counters) when traced -> Some (counters ()) | _ -> None
+  in
+  let probe_wave w ~t0 ~t1 ~a0 ~c0 ~width ~wave_nots (r : wave_result) =
+    Trace.span tr ~cat:"wave" ~name:(Printf.sprintf "wave %d" w) ~t0:(t0 -. ep) ~t1:(t1 -. ep);
+    (* A backend whose workers report their own crypto counters (dist ships
+       them in DTRC frames, counted where the rotations ran) must not have
+       them counted twice here. *)
+    if not probe.remote_crypto then
+      Exec_obs.crypto_counters tr probe.params ~bootstraps:r.rotations;
+    Exec_obs.wave_counters tr ~nots:wave_nots ~width
+      ~alloc_words:(Exec_obs.alloc_words () -. a0);
+    (match (probe.batch, c0) with
+    | Some (cap, counters), Some c0 ->
+      let c1 = counters () in
+      Exec_obs.batch_wave_counters tr probe.params ~cap
+        ~launches:(c1.Gates.batch_launches - c0.Gates.batch_launches)
+        ~gates:(c1.Gates.batch_gates - c0.Gates.batch_gates)
+        ~bsk_rows:(c1.Gates.bsk_rows - c0.Gates.bsk_rows)
+        ~ks_blocks:(c1.Gates.ks_blocks - c0.Gates.ks_blocks)
+    | _ -> ());
+    List.iter (fun (name, v) -> Trace.counter tr ~name (float_of_int v)) r.counters;
+    (* The runner has returned, so any helper domain or worker of the
+       backend is idle at its barrier: every per-thread buffer is safe to
+       collect. *)
+    Trace.drain obs
+  in
+  let eval_not (in0, dst) =
+    !values.(dst) <- Some (Lwe.neg (classic in0));
+    !levels.(dst) <- 0;
+    incr nots
+  in
   let flush () =
     if !seg_depth > 0 then begin
       incr segments;
@@ -242,29 +300,30 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
         !seg_par.(l - 1) <- [];
         !seg_inl.(l - 1) <- [];
         if par <> [] then begin
+          let w = !waves in
           incr waves;
           let t0 = Unix.gettimeofday () in
+          let a0 = if traced then Exec_obs.alloc_words () else 0.0 in
+          let c0 = batch_snapshot () in
           let tasks = Array.of_list (List.map task_of par) in
-          let results = run_wave tasks in
-          if Array.length results <> Array.length tasks then
+          let r = run_wave tasks in
+          if Array.length r.results <> Array.length tasks then
             failwith "Stream_exec: wave runner returned the wrong number of results";
           List.iteri
             (fun i p ->
               let dst = dst_of p in
-              !values.(dst) <- Some results.(i);
+              !values.(dst) <- Some r.results.(i);
               !levels.(dst) <- 0)
             par;
-          boots := !boots + Array.length tasks;
-          widths := Array.length tasks :: !widths;
-          walls := (Unix.gettimeofday () -. t0) :: !walls
-        end;
-        List.iter
-          (fun (in0, dst) ->
-            let v = classic in0 in
-            !values.(dst) <- Some (ops.v_gate Gate.Not v v);
-            !levels.(dst) <- 0;
-            incr nots)
-          inl
+          List.iter eval_not inl;
+          let t1 = Unix.gettimeofday () in
+          let width = Array.length tasks in
+          boots := !boots + r.rotations;
+          widths := width :: !widths;
+          walls := (t1 -. t0) :: !walls;
+          if traced then probe_wave w ~t0 ~t1 ~a0 ~c0 ~width ~wave_nots:(List.length inl) r
+        end
+        else List.iter eval_not inl
       done;
       seg_depth := 0;
       seg_boots := 0
@@ -296,8 +355,10 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
       | Binary.Input_decl { index } ->
         require_header ();
         if index <> !next then failwith "Stream_exec: non-sequential input index";
+        if !input_ordinal >= Array.length inputs then
+          invalid_arg "Stream_exec.run_waves: input arity mismatch";
         ensure index;
-        !values.(index) <- Some (ops.v_input !input_ordinal);
+        !values.(index) <- Some inputs.(!input_ordinal);
         !levels.(index) <- 0;
         incr input_ordinal;
         incr next
@@ -307,19 +368,13 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
         ensure !next;
         if Gate.is_unary gate then begin
           let base = level_of in0 in
-          if base = 0 then begin
-            let v = classic in0 in
-            !values.(!next) <- Some (ops.v_gate gate v v);
-            !levels.(!next) <- 0;
-            incr nots;
-            incr next
-          end
+          if base = 0 then eval_not (in0, !next)
           else begin
             seg_ensure base;
             !seg_inl.(base - 1) <- (in0, !next) :: !seg_inl.(base - 1);
-            !levels.(!next) <- base;
-            incr next
-          end
+            !levels.(!next) <- base
+          end;
+          incr next
         end
         else begin
           let la = level_of in0 and lb = level_of in1 in
@@ -348,6 +403,8 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
         ignore (level_of index);
         outputs := index :: !outputs);
   if !gate_total < 0 then failwith "Stream_exec: missing header instruction";
+  if !input_ordinal <> Array.length inputs then
+    invalid_arg "Stream_exec.run_waves: input arity mismatch";
   flush ();
   let result = Array.of_list (List.rev_map classic !outputs) in
   let stats =
@@ -360,13 +417,11 @@ let run_waves ?(obs = Trace.null) ?(window = 1 lsl 15) ~run_wave ops read =
       wave_wall = Array.of_list (List.rev !walls);
     }
   in
-  if Trace.enabled obs then begin
+  if traced then begin
     let tr = Trace.new_track obs ~name:"stream-waves" in
     Trace.span tr ~cat:"run" ~name:"stream_waves" ~t0:t_start ~t1:(Trace.now obs);
     Trace.counter tr ~name:"segments" (float_of_int stats.segments_run);
     Trace.counter tr ~name:"waves" (float_of_int stats.waves_run);
-    Trace.counter tr ~name:"bootstraps" (float_of_int stats.bootstraps_run);
-    Trace.counter tr ~name:"nots" (float_of_int stats.nots_run);
     Trace.drain obs
   end;
   (result, stats)
@@ -387,19 +442,25 @@ let run_bits bytes ins =
       v_lut_view = Fun.id;
     }
   in
-  run_legacy ops bytes
+  run_insts ops (Binary.iter bytes)
 
-let run_encrypted_legacy ?(obs = Trace.null) cloud bytes cts =
-  let ctx = Pytfhe_tfhe.Gates.context cloud in
+let run ?(opts = Exec_opts.default) ops bytes =
+  Exec_opts.check_scalar_only ~who:"Stream_exec.run" opts;
+  run_insts ~obs:opts.Exec_opts.obs ops (Binary.iter bytes)
+
+let run_encrypted ?(opts = Exec_opts.default) cloud bytes cts =
+  Exec_opts.check_scalar_only ~who:"Stream_exec.run_encrypted" opts;
+  let obs = opts.Exec_opts.obs in
+  let ctx = Gates.context cloud in
   let ops =
     {
       v_gate = (fun g a b -> Tfhe_eval.gate_of g cloud a b);
       v_input = (fun i -> cts.(i));
-      v_lut = (fun ~arity ~table ops -> Pytfhe_tfhe.Gates.lut_cell_in ctx ~arity ~table ops);
-      v_lut_view = Pytfhe_tfhe.Gates.lut_to_classic;
+      v_lut = (fun ~arity ~table ops -> Gates.lut_cell_in ctx ~arity ~table ops);
+      v_lut_view = Gates.lut_to_classic;
     }
   in
-  if not (Trace.enabled obs) then run_legacy ops bytes
+  if not (Trace.enabled obs) then run_insts ops (Binary.iter bytes)
   else begin
     (* Crypto-cost probes ride on a wrapper so the untraced closure stays
        allocation-identical to before. *)
@@ -416,8 +477,8 @@ let run_encrypted_legacy ?(obs = Trace.null) cloud bytes cts =
             ops.v_lut ~arity ~table operands);
       }
     in
-    let result = run_legacy ~obs counted bytes in
-    let params = cloud.Pytfhe_tfhe.Gates.cloud_params in
+    let result = run_insts ~obs counted (Binary.iter bytes) in
+    let params = cloud.Gates.cloud_params in
     let tr = Trace.new_track obs ~name:"stream-crypto" in
     Exec_obs.noise_gauges tr params;
     Trace.counter tr ~name:"key_switches" (float_of_int !boots);
@@ -427,27 +488,17 @@ let run_encrypted_legacy ?(obs = Trace.null) cloud bytes cts =
     result
   end
 
-let run ?(opts = Exec_opts.default) ops bytes =
-  Exec_opts.check_scalar_only ~who:"Stream_exec.run" opts;
-  run_legacy ~obs:opts.Exec_opts.obs ops bytes
+(* --- Encrypted wave runners ----------------------------------------------
 
-let run_encrypted ?(opts = Exec_opts.default) cloud bytes cts =
-  Exec_opts.check_scalar_only ~who:"Stream_exec.run_encrypted" opts;
-  run_encrypted_legacy ~obs:opts.Exec_opts.obs cloud bytes cts
-
-(* --- Encrypted streaming through the wave driver --------------------------
-
-   Single-process encrypted execution of a streamed binary: bootstrapped
-   work arrives as resolved-operand tasks one wave at a time, so no netlist
-   is ever materialised.  Per gate/cell the operation sequence matches the
-   [Tfhe_eval] netlist walks (combine → bootstrap → key switch, indicator
-   rotations shared within a wave), so outputs are ciphertext-bit-exact
-   with them — rotation sharing does not cross wave boundaries here, which
-   cannot change values because indicator rotations are deterministic. *)
-
-module Gates = Pytfhe_tfhe.Gates
-module Lwe = Pytfhe_tfhe.Lwe
-module Params = Pytfhe_tfhe.Params
+   What a backend's [run_wave] is made of.  A wave splits into its classic
+   gates and its LUT cells grouped into rotation units: one unit per
+   arity-1 cell, one per distinct multi-input operand tuple — the
+   indicators depend only on the operands, so every member table selects
+   from one shared blind rotation.  Each part runs scalar through a
+   [Gates.context] or in launches of at most [batch] through a
+   [Gates.batch_context]; per gate/cell the operation sequence is the same
+   either way, so all runners are ciphertext-bit-exact with each other and
+   with the in-order [run_encrypted]. *)
 
 type stream_cell =
   | C_sign of { idx : int; table : int; operand : Lwe.sample }
@@ -458,8 +509,12 @@ type stream_cell =
       raws : Lwe.sample array;
     }
 
-(* Group a wave's LUT tasks by operand tuple, first-appearance order, like
-   [Tfhe_eval.build_lut_cells] does over netlist ids. *)
+(* Rotation-sharing key of a multi-input cell: (arity, operand indices). *)
+let lut_key ins =
+  let get i = if Array.length ins > i then ins.(i) else -1 in
+  (Array.length ins, ins.(0), get 1, get 2)
+
+(* Group a wave's LUT tasks by operand tuple, first-appearance order. *)
 let stream_lut_cells tasks lut_idx =
   let ds = ref [] in
   let groups = Hashtbl.create 16 in
@@ -469,7 +524,7 @@ let stream_lut_cells tasks lut_idx =
       | T_lut { arity = 1; table; operands; _ } ->
         ds := C_sign { idx = i; table; operand = operands.(0) } :: !ds
       | T_lut { arity; table; operands; ins } -> (
-        let key = Tfhe_eval.lut_key ins in
+        let key = lut_key ins in
         match Hashtbl.find_opt groups key with
         | Some (C_group g) ->
           g.idxs <- i :: g.idxs;
@@ -483,58 +538,56 @@ let stream_lut_cells tasks lut_idx =
     lut_idx;
   Array.of_list (List.rev !ds)
 
-let stream_runner_scalar ctx tasks =
-  let rotations = Hashtbl.create 16 in
-  Array.map
-    (function
-      | T_gate { gate; a; b } -> Tfhe_eval.apply_gate ctx gate a b
-      | T_lut { arity = 1; table; operands; _ } -> Gates.lut1_in ctx ~table operands.(0)
-      | T_lut { arity; table; operands; ins } ->
-        let key = Tfhe_eval.lut_key ins in
-        let ind =
-          match Hashtbl.find_opt rotations key with
-          | Some ind -> ind
-          | None ->
-            let ind = Gates.lut_indicators_in ctx ~arity operands in
-            Hashtbl.add rotations key ind;
-            ind
-        in
-        Gates.lut_select_in ctx ~msize:(1 lsl arity) ~table ind)
-    tasks
+let split_wave tasks =
+  let gates = ref [] and luts = ref [] in
+  for i = Array.length tasks - 1 downto 0 do
+    match tasks.(i) with
+    | T_gate _ -> gates := i :: !gates
+    | T_lut _ -> luts := i :: !luts
+  done;
+  (Array.of_list !gates, stream_lut_cells tasks !luts)
 
-let stream_runner_batched bc ~batch ~n tasks =
-  let total = Array.length tasks in
-  let out = Array.make total None in
-  let gate_idx = ref [] and lut_idx = ref [] in
-  Array.iteri
-    (fun i t ->
-      match t with
-      | T_gate _ -> gate_idx := i :: !gate_idx
-      | T_lut _ -> lut_idx := i :: !lut_idx)
-    tasks;
-  let gates = Array.of_list (List.rev !gate_idx) in
-  let cwidth = Array.length gates in
+let run_gates ctx tasks gates out =
+  Array.iter
+    (fun i ->
+      match tasks.(i) with
+      | T_gate { gate; a; b } -> out.(i) <- Some (Tfhe_eval.apply_gate ctx gate a b)
+      | T_lut _ -> assert false)
+    gates
+
+let run_gates_batched bc ~batch ~n tasks gates out =
+  let total = Array.length gates in
   let pos = ref 0 in
-  while !pos < cwidth do
-    let len = min batch (cwidth - !pos) in
+  while !pos < total do
+    let len = min batch (total - !pos) in
     let base = !pos in
     let combined =
-      Array.init len (fun i ->
-          match tasks.(gates.(base + i)) with
+      Array.init len (fun k ->
+          match tasks.(gates.(base + k)) with
           | T_gate { gate; a; b } -> Gates.combine ~n (Tfhe_eval.plan_of gate) a b
           | T_lut _ -> assert false)
     in
-    let outs = Gates.bootstrap_batch bc combined in
-    for i = 0 to len - 1 do
-      out.(gates.(base + i)) <- Some outs.(i)
-    done;
-    pos := !pos + len
-  done;
-  let cells = stream_lut_cells tasks (List.rev !lut_idx) in
-  let ncells = Array.length cells in
+    Array.iteri (fun k v -> out.(gates.(base + k)) <- Some v) (Gates.bootstrap_batch bc combined);
+    pos := base + len
+  done
+
+let run_cells ctx cells out =
+  Array.iter
+    (function
+      | C_sign { idx; table; operand } -> out.(idx) <- Some (Gates.lut1_in ctx ~table operand)
+      | C_group g ->
+        let ind = Gates.lut_indicators_in ctx ~arity:g.arity g.raws in
+        List.iter2
+          (fun idx table ->
+            out.(idx) <- Some (Gates.lut_select_in ctx ~msize:(1 lsl g.arity) ~table ind))
+          (List.rev g.idxs) (List.rev g.tables))
+    cells
+
+let run_cells_batched bc ~batch ~n cells out =
+  let total = Array.length cells in
   let pos = ref 0 in
-  while !pos < ncells do
-    let len = min batch (ncells - !pos) in
+  while !pos < total do
+    let len = min batch (total - !pos) in
     let chunk = Array.sub cells !pos len in
     let kinds =
       Array.map
@@ -559,49 +612,48 @@ let stream_runner_batched bc ~batch ~n tasks =
         | C_group g -> List.iteri (fun k i -> out.(i) <- Some outs.(j).(k)) (List.rev g.idxs))
       chunk;
     pos := !pos + len
-  done;
-  Array.map (function Some v -> v | None -> assert false) out
+  done
 
-let encrypted_stream_ops ctx inputs ~who =
-  {
-    v_gate = (fun g a b -> Tfhe_eval.apply_gate ctx g a b);
-    v_input =
-      (fun i ->
-        if i >= Array.length inputs then
-          invalid_arg (who ^ ": wrong number of inputs for the stream")
-        else inputs.(i));
-    (* The wave driver routes bootstrapped cells through [run_wave]; this
-       is only a safety net should that contract ever loosen. *)
-    v_lut = (fun ~arity ~table ops -> Gates.lut_cell_in ctx ~arity ~table ops);
-    v_lut_view = Gates.lut_to_classic;
-  }
+let collect out = Array.map (function Some v -> v | None -> assert false) out
 
+(* The sequential backend: one scalar or batched runner over the whole
+   wave on the calling thread. *)
 let run_encrypted_stream ?(opts = Exec_opts.default) ?window cloud read cts =
   let start = Unix.gettimeofday () in
-  let obs = opts.Exec_opts.obs in
   let p = cloud.Gates.cloud_params in
-  let ctx = Gates.context cloud in
-  let ops = encrypted_stream_ops ctx cts ~who:"Stream_exec.run_encrypted_stream" in
-  let bc_counters = ref None in
-  let run_wave =
+  let n = p.Params.lwe.Params.n in
+  let run_parts, batch =
     match opts.Exec_opts.batch with
-    | None -> stream_runner_scalar ctx
+    | None ->
+      let ctx = Gates.context cloud in
+      ((fun tasks gates cells out -> run_gates ctx tasks gates out; run_cells ctx cells out), None)
     | Some b ->
       if b < 1 then invalid_arg "Stream_exec.run_encrypted_stream: batch must be >= 1";
       let bc = Gates.batch_context cloud ~cap:b in
-      bc_counters := Some (fun () -> Gates.batch_counters bc);
-      stream_runner_batched bc ~batch:b ~n:p.Params.lwe.Params.n
+      ( (fun tasks gates cells out ->
+          run_gates_batched bc ~batch:b ~n tasks gates out;
+          run_cells_batched bc ~batch:b ~n cells out),
+        Some (b, bc) )
   in
-  let outputs, ws = run_waves ~obs ?window ~run_wave ops read in
-  let batch_size = match opts.Exec_opts.batch with Some b -> b | None -> 0 in
-  let launches, bsk, ks =
-    match !bc_counters with
-    | None -> (0, 0, 0)
-    | Some counters ->
-      let c = counters () in
-      ( c.Gates.batch_launches,
-        c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p,
-        c.Gates.ks_blocks * Exec_obs.ks_block_bytes p )
+  let run_wave tasks =
+    let gates, cells = split_wave tasks in
+    let out = Array.make (Array.length tasks) None in
+    run_parts tasks gates cells out;
+    { results = collect out; rotations = Array.length gates + Array.length cells; counters = [] }
+  in
+  let probe =
+    {
+      track = "cpu";
+      params = p;
+      remote_crypto = false;
+      batch = Option.map (fun (b, bc) -> (b, fun () -> Gates.batch_counters bc)) batch;
+    }
+  in
+  let outputs, ws = run_waves ~obs:opts.Exec_opts.obs ?window probe ~run_wave read cts in
+  let c =
+    match batch with
+    | Some (_, bc) -> Gates.batch_counters bc
+    | None -> { Gates.batch_launches = 0; batch_gates = 0; bsk_rows = 0; ks_blocks = 0 }
   in
   ( outputs,
     {
@@ -610,8 +662,8 @@ let run_encrypted_stream ?(opts = Exec_opts.default) ?window cloud read cts =
       wall_time = Unix.gettimeofday () -. start;
       wave_wall = ws.wave_wall;
       wave_width = ws.wave_widths;
-      batch_size;
-      batch_launches = launches;
-      bsk_bytes_streamed = bsk;
-      ks_bytes_streamed = ks;
+      batch_size = (match batch with Some (b, _) -> b | None -> 0);
+      batch_launches = c.Gates.batch_launches;
+      bsk_bytes_streamed = c.Gates.bsk_rows * Exec_obs.bsk_row_bytes p;
+      ks_bytes_streamed = c.Gates.ks_blocks * Exec_obs.ks_block_bytes p;
     } )

@@ -1,11 +1,18 @@
-(** Streaming execution of PyTFHE binaries.
+(** Execution of PyTFHE binaries.
 
     The paper's executor never builds a graph structure: the sequential
     index "naming" of Fig. 5 lets it scan the 128-bit instruction stream
     once, keeping a value table indexed by gate number (§IV-C's "fast TFHE
-    program DAG traversal").  This module is that executor, for both
-    plaintext bits and real ciphertexts — unlike {!Plain_eval.run_binary},
-    no netlist is materialised, so memory is one value per instruction. *)
+    program DAG traversal").  This module holds both forms of that scan:
+
+    - {!run} / {!run_encrypted}: one in-order pass over any value domain —
+      the plaintext and scalar-ciphertext references;
+    - {!run_waves}: the segmented wave driver every encrypted backend
+      (cpu, par, dist) executes programs through, with the sequential
+      backend's runner {!run_encrypted_stream}.
+
+    No netlist is materialised either way, so memory is one value per
+    instruction. *)
 
 type 'v ops = {
   v_gate : Pytfhe_circuit.Gate.t -> 'v -> 'v -> 'v;
@@ -26,8 +33,8 @@ val run : ?opts:Exec_opts.t -> 'v ops -> bytes -> 'v array
     field checks already live in the {!Pytfhe_circuit.Binary} decoder).
     With an enabled [opts.obs] sink, emits one span for the whole pass plus
     the instruction-mix counters on a ["stream"] track.  The stream walk is
-    inherently scalar: [opts.batch]/non-default [opts.soa] raise
-    [Invalid_argument] rather than being silently dropped. *)
+    inherently scalar: [opts.batch] raises [Invalid_argument] rather than
+    being silently dropped. *)
 
 val run_bits : bytes -> bool array -> bool array
 (** Plaintext-bit instantiation. *)
@@ -37,46 +44,81 @@ val run_encrypted :
   Pytfhe_tfhe.Gates.cloud_keyset -> bytes -> Pytfhe_tfhe.Lwe.sample array ->
   Pytfhe_tfhe.Lwe.sample array
 (** Homomorphic instantiation: each gate instruction triggers one
-    bootstrapped-gate evaluation.  Traced runs add key-switch/FFT counters
-    and the noise gauges on a ["stream-crypto"] track.  Same
-    [Invalid_argument] contract as {!run} for the batch/soa knobs. *)
+    bootstrapped-gate evaluation, in instruction order.  This is the
+    scalar reference the wave executors are differentially tested
+    against.  Traced runs add key-switch/FFT counters and the noise gauges
+    on a ["stream-crypto"] track.  Same [Invalid_argument] contract as
+    {!run} for [opts.batch]. *)
 
 val run_source :
   ?obs:Pytfhe_obs.Trace.sink -> 'v ops -> (unit -> bytes option) -> 'v array
 (** Like {!run}, pulling the binary from a chunked source
     ({!Pytfhe_circuit.Binary.iter_source}) instead of a resident byte
-    buffer — the executor for streamed compilations, where the binary is
-    produced wave by wave and never materialised.  Headers carrying
-    {!Pytfhe_circuit.Binary.streamed_gate_total} skip the gate-budget
-    check. *)
+    buffer.  Headers carrying {!Pytfhe_circuit.Binary.streamed_gate_total}
+    skip the gate-budget check. *)
 
 (** {1 Segmented wave driver}
 
-    The streaming counterpart of the levelized executors.  Instructions are
-    consumed as they arrive; bootstrapped gates and LUT cells are queued by
-    wave (level = 1 + max operand level within the current segment) and
-    handed to a backend callback one wave at a time, so batching and
-    parallel backends see the same wave structure a materialised netlist
-    would give them — without the netlist.  When the queued bootstrap count
+    Instructions are consumed as they arrive; bootstrapped gates and LUT
+    cells are queued by wave (level = 1 + max operand level within the
+    current segment) and handed to a backend callback one wave at a time,
+    so batching and parallel backends see the wave structure of the
+    levelized program without a netlist.  When the queued bootstrap count
     reaches [window] the segment flushes level by level, bounding peak
-    queued work.  NOT gates are evaluated inline (immediately when their
-    operand is computed, after the producing wave otherwise), matching
-    {!Pytfhe_circuit.Levelize.waves} semantics. *)
+    queued work; with [window = max_int] there is one segment and the
+    waves are exactly {!Pytfhe_circuit.Levelize.waves}.  NOT gates are
+    evaluated inline (immediately when their operand is computed, after
+    the producing wave otherwise), matching {!Pytfhe_circuit.Levelize.waves}
+    semantics. *)
 
-type 'v task =
-  | T_gate of { gate : Pytfhe_circuit.Gate.t; a : 'v; b : 'v }
-      (** One bootstrapped binary gate; operands are classic views, already
-          resolved. *)
-  | T_lut of { arity : int; table : int; operands : 'v array; ins : int array }
+type task =
+  | T_gate of {
+      gate : Pytfhe_circuit.Gate.t;
+      a : Pytfhe_tfhe.Lwe.sample;
+      b : Pytfhe_tfhe.Lwe.sample;
+    }  (** One bootstrapped binary gate; operands are classic views. *)
+  | T_lut of {
+      arity : int;
+      table : int;
+      operands : Pytfhe_tfhe.Lwe.sample array;
+      ins : int array;
+    }
       (** One LUT cell; arity-1 operands are classic views, arity-2/3 are
           raw lutdom values.  [ins] are the stream indices of the operands —
           tasks of one wave sharing the same [ins] may share blind
           rotations. *)
 
+type wave_result = {
+  results : Pytfhe_tfhe.Lwe.sample array;  (** One per task, in task order. *)
+  rotations : int;
+      (** Blind rotations actually performed — fewer than the tasks when
+          LUT cells shared a rotation. *)
+  counters : (string * int) list;
+      (** Backend-specific per-wave trace counters (dist: wire bytes,
+          retries, reassignments …), emitted on the wave's track. *)
+}
+
+type probe = {
+  track : string;  (** Trace track of the per-wave spans and counters. *)
+  params : Pytfhe_tfhe.Params.t;  (** For the noise gauges and FFT counts. *)
+  remote_crypto : bool;
+      (** The rotations run in processes that report their own
+          bootstrap/key-switch/FFT counters, so the wave counters omit
+          them (no double counting). *)
+  batch : (int * (unit -> Pytfhe_tfhe.Gates.batch_counters)) option;
+      (** Batch capacity and the backend's running kernel counters: adds
+          the batch counter set to every traced wave. *)
+}
+(** How {!run_waves} traces a backend.  With an enabled sink every
+    executed wave gets a [wave] span, the {!Exec_obs.wave_counters} set
+    (plus {!Exec_obs.crypto_counters} unless [remote_crypto]), the batch
+    counters when [batch] is set and the runner's own [counters]; the
+    noise gauges are sampled once per run. *)
+
 type wave_stats = {
   segments_run : int;
   waves_run : int;
-  bootstraps_run : int;
+  bootstraps_run : int;  (** Sum of the runners' [rotations]. *)
   nots_run : int;
   wave_widths : int array;  (** Tasks per executed wave, in order. *)
   wave_wall : float array;  (** Wall seconds per executed wave. *)
@@ -85,20 +127,26 @@ type wave_stats = {
 val run_waves :
   ?obs:Pytfhe_obs.Trace.sink ->
   ?window:int ->
-  run_wave:('v task array -> 'v array) ->
-  'v ops ->
+  probe ->
+  run_wave:(task array -> wave_result) ->
   (unit -> bytes option) ->
-  'v array * wave_stats
-(** Execute a streamed binary wave by wave.  [run_wave] must return one
-    result per task, in task order.  [ops.v_gate] is only consulted for
-    inline NOT gates and [ops.v_lut] never — bootstrapped work goes through
-    [run_wave].  Default [window] is 32768 queued bootstraps per segment.
-    Error contract matches {!run}. *)
+  Pytfhe_tfhe.Lwe.sample array ->
+  Pytfhe_tfhe.Lwe.sample array * wave_stats
+(** [run_waves probe ~run_wave read inputs] executes a streamed binary
+    wave by wave; [inputs] follow the input-instruction order, outputs the
+    output-instruction order.  Default [window] is 32768 queued bootstraps
+    per segment.  Raises [Invalid_argument] when [inputs] does not match
+    the program's input count; otherwise the error contract matches
+    {!run}. *)
 
-(** Rotation units of one wave's LUT tasks, for encrypted wave runners:
-    one [C_sign] per arity-1 cell, one [C_group] per distinct multi-input
-    operand tuple (lists reversed, aligned).  [idx]/[idxs] are task
-    positions in the wave. *)
+(** {2 Encrypted wave runners}
+
+    The parts backends assemble their [run_wave] from.  A wave splits into
+    its classic gates and its LUT cells grouped into rotation units; each
+    part runs scalar or through the key-streaming batch kernel, and all
+    combinations are ciphertext-bit-exact with each other.  Results land
+    in [out] at their task positions. *)
+
 type stream_cell =
   | C_sign of { idx : int; table : int; operand : Pytfhe_tfhe.Lwe.sample }
   | C_group of {
@@ -107,12 +155,36 @@ type stream_cell =
       arity : int;
       raws : Pytfhe_tfhe.Lwe.sample array;
     }
+(** One rotation unit: an arity-1 cell ([C_sign]), or every multi-input
+    cell of the wave over one operand tuple ([C_group], lists reversed and
+    aligned).  [idx]/[idxs] are task positions in the wave. *)
 
-val stream_lut_cells :
-  Pytfhe_tfhe.Lwe.sample task array -> int list -> stream_cell array
-(** Group the LUT tasks at the given positions (in order) into rotation
-    units, first-appearance order — the streaming counterpart of
-    {!Tfhe_eval.build_lut_cells}. *)
+val split_wave : task array -> int array * stream_cell array
+(** The task positions of the wave's classic gates, and its LUT tasks as
+    rotation units in first-appearance order.  The wave's rotation count
+    is the sum of the two lengths. *)
+
+val run_gates :
+  Pytfhe_tfhe.Gates.context -> task array -> int array ->
+  Pytfhe_tfhe.Lwe.sample option array -> unit
+(** Scalar evaluation of the classic gates at the given positions. *)
+
+val run_gates_batched :
+  Pytfhe_tfhe.Gates.batch_context -> batch:int -> n:int -> task array -> int array ->
+  Pytfhe_tfhe.Lwe.sample option array -> unit
+(** The same through the batch kernel, in launches of at most [batch]
+    gates; [n] is the LWE dimension. *)
+
+val run_cells :
+  Pytfhe_tfhe.Gates.context -> stream_cell array -> Pytfhe_tfhe.Lwe.sample option array -> unit
+(** Scalar evaluation of rotation units: one indicator rotation per group,
+    one select + key switch per member. *)
+
+val run_cells_batched :
+  Pytfhe_tfhe.Gates.batch_context -> batch:int -> n:int -> stream_cell array ->
+  Pytfhe_tfhe.Lwe.sample option array -> unit
+(** The same through the mixed-job batch kernel, in launches of at most
+    [batch] rotation units (a group is never split). *)
 
 val run_encrypted_stream :
   ?opts:Exec_opts.t ->
@@ -121,19 +193,7 @@ val run_encrypted_stream :
   (unit -> bytes option) ->
   Pytfhe_tfhe.Lwe.sample array ->
   Pytfhe_tfhe.Lwe.sample array * Tfhe_eval.stats
-(** Single-process encrypted execution of a streamed binary through
-    {!run_waves}: scalar per-wave when [opts.batch] is unset, through the
-    key-streaming batch kernel otherwise (LUT cells grouped by operand
-    tuple for rotation sharing, as in {!Tfhe_eval}).  Outputs are
-    ciphertext-bit-exact with {!Tfhe_eval.run} over the materialised
-    netlist.  [opts.soa] is ignored — the wave driver's value table is
-    per-slot by construction. *)
-
-val run_legacy : ?obs:Pytfhe_obs.Trace.sink -> 'v ops -> bytes -> 'v array
-(** @deprecated The pre-{!Exec_opts} signature, kept for one release. *)
-
-val run_encrypted_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  Pytfhe_tfhe.Gates.cloud_keyset -> bytes -> Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array
-(** @deprecated The pre-{!Exec_opts} signature, kept for one release. *)
+(** The sequential backend: {!run_waves} with every wave on the calling
+    thread — scalar when [opts.batch] is unset, through the key-streaming
+    batch kernel otherwise.  Traced runs put the wave spans on a ["cpu"]
+    track.  Outputs are ciphertext-bit-exact with {!run_encrypted}. *)

@@ -1,20 +1,23 @@
-(** The reference encrypted backend: evaluate a TFHE program gate by gate on
-    real LWE ciphertexts with the cloud keyset.
+(** Gate dispatch for the encrypted executors, and the stats record of the
+    sequential one.
 
-    This is the single-core executor every other backend's numbers are
-    normalised to; the test suite runs whole compiled circuits through it
-    and checks the decrypted outputs against {!Plain_eval}. *)
+    Every executor runs a program the same way: the assembled binary goes
+    through {!Stream_exec.run_waves}, and a backend-specific wave runner
+    evaluates each wave's bootstrapped work.  This module holds what those
+    runners share — the TFHE kernel behind each IR gate type — plus the
+    stats the sequential runner ({!Stream_exec.run_encrypted_stream},
+    packaged as {!Executor.cpu}) reports. *)
 
 type stats = {
   bootstraps_executed : int;
+      (** Blind rotations performed: one per classic gate, one per LUT
+          rotation unit (multi-input cells over the same operand tuple
+          share one). *)
   nots_executed : int;
   wall_time : float;  (** Seconds of real local compute. *)
-  wave_wall : float array;
-      (** Wall seconds per wave — only filled on traced or batched runs
-          (which execute wave by wave); empty on the untraced id-order
-          walk. *)
-  wave_width : int array;  (** Bootstrapped gates per wave (traced/batched runs). *)
-  batch_size : int;  (** The [?batch] capacity used; 0 on the scalar path. *)
+  wave_wall : float array;  (** Wall seconds per executed wave. *)
+  wave_width : int array;  (** Bootstrapped tasks per executed wave. *)
+  batch_size : int;  (** The [opts.batch] capacity used; 0 on the scalar path. *)
   batch_launches : int;  (** Batched bootstrap kernel launches (0 scalar). *)
   bsk_bytes_streamed : int;
       (** Bytes of bootstrapping key streamed from memory by the batched
@@ -25,52 +28,10 @@ type stats = {
           the scalar path. *)
 }
 
-val run :
-  ?opts:Exec_opts.t ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** [run cloud net inputs] homomorphically evaluates every gate in
-    topological order.  [inputs] follow the netlist's input declaration
-    order; outputs follow the output declaration order.  Execution knobs
-    ride in [?opts] (default {!Exec_opts.default}); below, [obs] / [batch]
-    / [soa] name its fields.
-
-    With an enabled [obs] sink the walk switches from id order to the
-    levelized wave order — a different topological order of the same DAG,
-    so outputs are bit-exact either way — and emits one span plus the
-    standard counter set per wave on a ["cpu"] track.
-
-    With [?batch:b] (b ≥ 1) each wave's bootstrapped gates run through the
-    key-streaming batch kernel in chunks of at most [b] gates: the
-    bootstrapping key and key-switch table are streamed from memory once
-    per chunk instead of once per gate.  By default ([?soa:true]) the
-    batched walk keeps the whole value table in one struct-of-arrays
-    {!Pytfhe_tfhe.Lwe_array} (node id = row) and runs the row-batched
-    kernels — no per-gate ciphertext record is materialized between the
-    inputs and the collected outputs.  [?soa:false] selects the older
-    record-per-gate batched walk (kept for benchmark attribution of the
-    layout change).  Outputs are ciphertext-bit-exact across scalar,
-    record-batched and SoA-batched paths for every batch size; a traced
-    batched run additionally emits [batch_waves]/[batch_fill]/
-    [bsk_bytes_streamed]/[ks_bytes_streamed] counters per wave. *)
-
-val run_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  ?batch:int ->
-  ?soa:bool ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pytfhe_circuit.Netlist.t ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * stats
-(** @deprecated The pre-{!Exec_opts} flag triple, kept for one release;
-    [run_legacy ?obs ?batch ?soa] ≡ [run ~opts:(Exec_opts.of_flags ...)]. *)
-
 val plan_of : Pytfhe_circuit.Gate.t -> Pytfhe_tfhe.Gates.combine_plan
-(** The linear phase combination of a bootstrapped IR gate (shared with
-    [Par_eval]'s batched path).  Raises [Invalid_argument] on [Not], which
-    is evaluated noiselessly. *)
+(** The linear phase combination of a bootstrapped IR gate, as fed to the
+    batched kernels.  Raises [Invalid_argument] on [Not], which is
+    evaluated noiselessly. *)
 
 val gate_of : Pytfhe_circuit.Gate.t ->
   Pytfhe_tfhe.Gates.cloud_keyset -> Pytfhe_tfhe.Lwe.sample -> Pytfhe_tfhe.Lwe.sample ->
@@ -81,55 +42,5 @@ val apply_gate :
   Pytfhe_tfhe.Gates.context -> Pytfhe_circuit.Gate.t ->
   Pytfhe_tfhe.Lwe.sample -> Pytfhe_tfhe.Lwe.sample -> Pytfhe_tfhe.Lwe.sample
 (** Same dispatch through an explicit per-thread evaluation context — the
-    primitive {!Par_eval} runs on every worker domain.  [Not] ignores its
-    second operand. *)
-
-(** {2 LUT-cell execution plumbing (shared with [Par_eval])}
-
-    LUT cells produce lutdom-encoded ciphertexts; classic consumers read
-    them through the free lutdom → classic view.  Multi-input cells over
-    the same operand tuple share one blind rotation: {!build_lut_cells}
-    groups a wave's cells deterministically (first-appearance order), and
-    the runners execute built cells — scalar or through the mixed-job
-    batch kernel, bit-exact with each other. *)
-
-type lut_cell_build
-
-val lut_key : int array -> int * int * int * int
-(** The rotation-sharing key of a LUT cell's operand tuple — (arity, op0,
-    op1 or -1, op2 or -1).  Cells agreeing on this key may share one blind
-    rotation. *)
-
-val classic_view :
-  Pytfhe_circuit.Netlist.t -> Pytfhe_tfhe.Lwe.sample option array ->
-  Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample
-(** The node's value as a classic ciphertext (applies the lutdom view to
-    [Lut] nodes). *)
-
-val partition_wave :
-  Pytfhe_circuit.Netlist.t -> Pytfhe_circuit.Netlist.id array ->
-  Pytfhe_circuit.Netlist.id array * Pytfhe_circuit.Netlist.id array
-(** Split a wave's bootstrapped nodes into (classic gates, LUT cells),
-    both preserving order.  O(1) pass-through when the netlist has no
-    LUT cells. *)
-
-val build_lut_cells :
-  Pytfhe_circuit.Netlist.t -> Pytfhe_circuit.Netlist.id array -> lut_cell_build array
-(** Group a wave's LUT-cell node ids into rotation units: one unit per
-    arity-1 cell, one per distinct multi-input operand tuple. *)
-
-val run_lut_cells :
-  Pytfhe_circuit.Netlist.t ->
-  get:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample) ->
-  set:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample -> unit) ->
-  Pytfhe_tfhe.Gates.batch_context -> batch:int -> n:int -> lut_cell_build array -> int
-(** Execute built cells through the mixed-job batch kernel in launches of
-    at most [batch] cells; [n] is the LWE dimension.  Returns the number
-    of blind rotations performed (= number of cells). *)
-
-val run_lut_cells_scalar :
-  Pytfhe_circuit.Netlist.t ->
-  get:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample) ->
-  set:(Pytfhe_circuit.Netlist.id -> Pytfhe_tfhe.Lwe.sample -> unit) ->
-  Pytfhe_tfhe.Gates.context -> lut_cell_build array -> int
-(** Scalar execution of built cells; bit-exact with {!run_lut_cells}. *)
+    primitive every scalar wave runner (and every multicore domain) uses.
+    [Not] ignores its second operand. *)

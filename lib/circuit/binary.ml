@@ -411,6 +411,13 @@ let parse_source read =
   iter_source read (Parser.feed p);
   Parser.finish p
 
+let source_of_bytes bytes =
+  let pending = ref (Some bytes) in
+  fun () ->
+    let chunk = !pending in
+    pending := None;
+    chunk
+
 let read_source ?(chunk = 1 lsl 16) ic =
   let buf = Bytes.create chunk in
   fun () ->

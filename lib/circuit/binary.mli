@@ -108,6 +108,10 @@ val parse_source : (unit -> bytes option) -> Netlist.t
     incrementally, so only the dense netlist store (not the binary) is ever
     resident. *)
 
+val source_of_bytes : bytes -> unit -> bytes option
+(** A pull source yielding a resident binary as one chunk — how callers
+    holding an assembled program feed the chunked executors. *)
+
 val read_source : ?chunk:int -> in_channel -> unit -> bytes option
 (** A pull source over an open channel, reading [chunk]-byte blocks
     (default 64 KiB) — plug into {!iter_source}/{!parse_source}. *)

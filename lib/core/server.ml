@@ -47,12 +47,13 @@ let executor = function
   | Multiprocess { workers; config } ->
     Executor.multiprocess ~workers ?config ()
 
+(* The compiled binary goes in as one chunk with no segment limit, so the
+   executed waves are exactly the program's levelized waves. *)
 let run ?opts backend cloud compiled inputs =
   let (module E : Executor.S) = executor backend in
-  E.run ?opts cloud compiled.Pipeline.netlist inputs
-
-let run_legacy ?obs ?batch ?soa backend cloud compiled inputs =
-  run ~opts:(Exec_opts.of_flags ?obs ?batch ?soa ()) backend cloud compiled inputs
+  E.run_stream ?opts ~window:max_int cloud
+    (Pytfhe_circuit.Binary.source_of_bytes compiled.Pipeline.binary)
+    inputs
 
 (* ------------------------------------------------------------------ *)
 (* Cost-model simulation                                               *)

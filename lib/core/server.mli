@@ -16,7 +16,9 @@
 (** Which executor runs the program.  All three are bit-exact with each
     other for any worker count. *)
 type exec_backend =
-  | Cpu  (** Sequential {!Pytfhe_backend.Tfhe_eval} on the calling thread. *)
+  | Cpu
+      (** Sequential {!Pytfhe_backend.Stream_exec.run_encrypted_stream} on
+          the calling thread. *)
   | Multicore of { workers : int }
       (** {!Pytfhe_backend.Par_eval} on OCaml 5 domains; [workers = 0]
           means [Domain.recommended_domain_count ()]. *)
@@ -53,29 +55,16 @@ val run :
   Pytfhe_tfhe.Lwe.sample array * Pytfhe_backend.Executor.stats
 (** [run backend cloud compiled inputs] evaluates the program
     homomorphically (inputs/outputs in declaration order) on the chosen
-    backend, returning the unified stats record.  Execution knobs ride in
+    backend, returning the unified stats record.  The backend executes
+    [compiled.binary] through its wave driver in one segment, so its waves
+    are exactly the program's levelized waves.  Execution knobs ride in
     [?opts] (default {!Pytfhe_backend.Executor.default_opts}): an enabled
     [opts.obs] sink collects spans/counters/gauges (see
     {!Pytfhe_obs.Trace} and [docs/observability.md]); [opts.batch = Some b]
     routes the Cpu/Multicore backends through the key-streaming batched
-    kernel in sub-batches of at most [b] gates, and [opts.soa] (default
-    [true]) runs those sub-batches through the struct-of-arrays row
-    kernels on contiguous {!Pytfhe_tfhe.Lwe_array} waves (bit-exact with
-    the scalar path either way) — see [docs/perf.md].  Multiprocess
-    raises [Invalid_argument] on the batch/soa knobs instead of silently
-    dropping them. *)
-
-val run_legacy :
-  ?obs:Pytfhe_obs.Trace.sink ->
-  ?batch:int ->
-  ?soa:bool ->
-  exec_backend ->
-  Pytfhe_tfhe.Gates.cloud_keyset ->
-  Pipeline.compiled ->
-  Pytfhe_tfhe.Lwe.sample array ->
-  Pytfhe_tfhe.Lwe.sample array * Pytfhe_backend.Executor.stats
-(** @deprecated The pre-[Executor.opts] flag triple, kept for one
-    release; equivalent to [run ~opts:{ obs; batch; soa }]. *)
+    kernel in sub-batches of at most [b] gates (bit-exact with the scalar
+    path) — see [docs/perf.md].  Multiprocess raises [Invalid_argument]
+    on [opts.batch] instead of silently dropping it. *)
 
 (** {2 Cost-model simulation} *)
 

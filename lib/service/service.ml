@@ -18,7 +18,7 @@
      keys can never share a launch.  Within a tenant the scheduler takes
      ready gates from requests in admission order until the batch
      capacity is filled; per gate the combine → bootstrap → key-switch
-     sequence is identical to Tfhe_eval's batched walk, so replies are
+     sequence is identical to the batched wave runner's, so replies are
      ciphertext-bit-exact with a per-tenant Server.run.
    - Failure isolation: a frame whose payload fails validation draws an
      SERR on that connection and nothing else; a connection dying takes
@@ -34,6 +34,7 @@ module Levelize = Pytfhe_circuit.Levelize
 module Framing = Pytfhe_backend.Framing
 module Dist_eval = Pytfhe_backend.Dist_eval
 module Tfhe_eval = Pytfhe_backend.Tfhe_eval
+module Stream_exec = Pytfhe_backend.Stream_exec
 module Executor = Pytfhe_backend.Executor
 module Exec_opts = Pytfhe_backend.Exec_opts
 module Exec_obs = Pytfhe_backend.Exec_obs
@@ -364,7 +365,11 @@ let tenant_state st client generation ck =
     Hashtbl.replace st.tenants key t;
     t
 
-let classic_view rq id = Tfhe_eval.classic_view rq.rq_compiled.Pipeline.netlist rq.rq_values id
+(* LUT cells hold lutdom-encoded values; classic consumers read them
+   through the free lutdom → classic view. *)
+let classic_view rq id =
+  let v = Option.get rq.rq_values.(id) in
+  if Netlist.is_lut rq.rq_compiled.Pipeline.netlist id then Gates.lut_to_classic v else v
 
 let finish st rq =
   let net = rq.rq_compiled.Pipeline.netlist in
@@ -398,19 +403,32 @@ let fail_request st rq code message =
 let load_wave st t rq =
   let net = rq.rq_compiled.Pipeline.netlist in
   let wave = rq.rq_waves.(rq.rq_wave) in
-  let classic, luts = Tfhe_eval.partition_wave net wave.Levelize.parallel in
-  if Array.length luts > 0 then begin
-    let rots =
-      Tfhe_eval.run_lut_cells net
-        ~get:(fun id -> Option.get rq.rq_values.(id))
-        ~set:(fun id v -> rq.rq_values.(id) <- Some v)
-        t.t_bc ~batch:t.t_cap ~n:t.t_n
-        (Tfhe_eval.build_lut_cells net luts)
+  let luts, classic = List.partition (Netlist.is_lut net) (Array.to_list wave.Levelize.parallel) in
+  if luts <> [] then begin
+    let luts = Array.of_list luts in
+    let tasks =
+      Array.map
+        (fun id ->
+          match Netlist.kind net id with
+          | Netlist.Lut { table; ins } ->
+            let arity = Array.length ins in
+            let operands =
+              if arity = 1 then [| classic_view rq ins.(0) |]
+              else Array.map (fun a -> Option.get rq.rq_values.(a)) ins
+            in
+            Stream_exec.T_lut { arity; table; operands; ins }
+          | _ -> assert false)
+        luts
     in
+    let _, cells = Stream_exec.split_wave tasks in
+    let out = Array.make (Array.length tasks) None in
+    Stream_exec.run_cells_batched t.t_bc ~batch:t.t_cap ~n:t.t_n cells out;
+    Array.iteri (fun i id -> rq.rq_values.(id) <- out.(i)) luts;
+    let rots = Array.length cells in
     rq.rq_bootstraps <- rq.rq_bootstraps + rots;
     st.c_lut_rotations <- st.c_lut_rotations + rots
   end;
-  rq.rq_classic <- Array.to_list classic
+  rq.rq_classic <- classic
 
 (* Called whenever the current wave's classic gates are exhausted: run the
    wave's inline NOTs, move on, and keep going through waves that carry no
@@ -527,14 +545,9 @@ let launch_one st =
           | _ -> assert false)
         jobs
     in
-    let outs =
-      if st.opts.Exec_opts.soa then begin
-        Array.iteri (fun i s -> Lwe_array.set t.t_staging i s) combined;
-        let rows = Gates.bootstrap_batch_rows t.t_bc (Lwe_array.slice t.t_staging ~pos:0 ~len) in
-        Array.init len (Lwe_array.get rows)
-      end
-      else Gates.bootstrap_batch t.t_bc combined
-    in
+    Array.iteri (fun i s -> Lwe_array.set t.t_staging i s) combined;
+    let rows = Gates.bootstrap_batch_rows t.t_bc (Lwe_array.slice t.t_staging ~pos:0 ~len) in
+    let outs = Array.init len (Lwe_array.get rows) in
     Array.iteri
       (fun i (rq, id) ->
         rq.rq_values.(id) <- Some outs.(i);

@@ -113,11 +113,11 @@ val serve :
     and return final statistics.  [ready] is called with the bound port
     once the socket is listening (the hook a test or bench uses to learn
     an ephemeral port before connecting).  [opts.batch] sets the packing
-    capacity; [opts.soa] selects rows-in/rows-out staging through
-    {!Pytfhe_tfhe.Lwe_array}; [opts.obs] receives
+    capacity (each launch stages its gates as {!Pytfhe_tfhe.Lwe_array}
+    rows through the row kernels); [opts.obs] receives
     [service_queue_depth]/[service_batch_fill]/per-tenant byte counters.
 
     Raises [Invalid_argument] when [config.backend] is [Multiprocess] and
-    [opts] asks for batch or a non-default layout — the distributed
-    executor batches worker-side, and silently dropping the knobs would
-    misreport what ran. *)
+    [opts] asks for batching — the distributed executor batches
+    worker-side, and silently dropping the knob would misreport what
+    ran. *)

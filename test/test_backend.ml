@@ -407,7 +407,7 @@ let test_tfhe_eval_full_adder () =
     (fun (av, bv, cv) ->
       let ins = [| av; bv; cv |] in
       let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-      let outs, stats = Tfhe_eval.run ck net cts in
+      let outs, stats = Run_net.cpu ck net cts in
       let decrypted = Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) outs in
       let expected = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       Alcotest.(check (array bool)) "encrypted = plain" expected decrypted;
@@ -425,7 +425,7 @@ let test_tfhe_eval_with_constants_and_not () =
   List.iter
     (fun v ->
       let cts = [| Pytfhe_tfhe.Gates.encrypt_bit rng sk v |] in
-      let outs, _ = Tfhe_eval.run ck net cts in
+      let outs, _ = Run_net.cpu ck net cts in
       Alcotest.(check bool) "not through constant and" (not v)
         (Pytfhe_tfhe.Gates.decrypt_bit sk outs.(0)))
     [ true; false ]
@@ -446,13 +446,15 @@ let test_par_eval_matches_sequential =
       let rng = Rng.create ~seed:(1000 + s2) () in
       let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
       let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-      let seq_out, _ = Tfhe_eval.run ck net cts in
+      let seq_out, _ = Run_net.cpu ck net cts in
       let plain = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       let decrypted = Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) seq_out in
       if decrypted <> plain then QCheck.Test.fail_report "sequential disagrees with plain_eval";
+      if seq_out <> Run_net.reference ck net cts then
+        QCheck.Test.fail_report "sequential disagrees with the in-order reference";
       List.for_all
         (fun workers ->
-          let par_out, st = Par_eval.run ~workers ck net cts in
+          let par_out, st = Run_net.par ~workers ck net cts in
           par_out = seq_out && st.Par_eval.workers = workers)
         [ 1; 2; 4 ])
 
@@ -462,8 +464,8 @@ let test_par_eval_stats () =
   let rng = Rng.create ~seed:55 () in
   let ins = Array.init 5 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-  let seq_out, seq_stats = Tfhe_eval.run ck net cts in
-  let outs, st = Par_eval.run ~workers:3 ck net cts in
+  let seq_out, seq_stats = Run_net.cpu ck net cts in
+  let outs, st = Run_net.par ~workers:3 ck net cts in
   Alcotest.(check bool) "ciphertexts identical" true (outs = seq_out);
   Alcotest.(check int) "bootstrap totals agree" seq_stats.Tfhe_eval.bootstraps_executed
     st.Par_eval.bootstraps_executed;
@@ -472,16 +474,20 @@ let test_par_eval_stats () =
   Alcotest.(check int) "one stats entry per domain" 3
     (Array.length st.Par_eval.per_domain_bootstraps);
   let sched = Levelize.run net in
-  Alcotest.(check int) "one wave per level" (sched.Levelize.depth + 1)
+  (* Level 0 holds no bootstrapped work, so it is not an executed wave. *)
+  Alcotest.(check int) "one wave per level" sched.Levelize.depth
     (Array.length st.Par_eval.wave_wall);
   Alcotest.(check int) "wave widths cover every bootstrap" st.Par_eval.bootstraps_executed
     (Array.fold_left ( + ) 0 st.Par_eval.wave_width);
   Alcotest.(check (float 1e-9)) "ideal speedup matches the exposed bound"
     (Par_eval.ideal_speedup sched 3) st.Par_eval.ideal_speedup;
   Alcotest.(check bool) "rejects workers < 1" true
-    (try ignore (Par_eval.run ~workers:0 ck net cts); false with Invalid_argument _ -> true);
+    (try ignore (Run_net.par ~workers:0 ck net cts); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "rejects input arity mismatch" true
-    (try ignore (Par_eval.run ~workers:2 ck net (Array.sub cts 0 2)); false
+    (try ignore (Run_net.par ~workers:2 ck net (Array.sub cts 0 2)); false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "rejects surplus inputs" true
+    (try ignore (Run_net.par ~workers:2 ck net (Array.append cts cts)); false
      with Invalid_argument _ -> true)
 
 let test_par_eval_full_adder () =
@@ -500,7 +506,7 @@ let test_par_eval_full_adder () =
     (fun (av, bv, cv) ->
       let ins = [| av; bv; cv |] in
       let cts = Array.map (Pytfhe_tfhe.Gates.encrypt_bit rng sk) ins in
-      let outs, stats = Par_eval.run ~workers:4 ck net cts in
+      let outs, stats = Run_net.par ~workers:4 ck net cts in
       let decrypted = Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) outs in
       let expected = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       Alcotest.(check (array bool)) "parallel encrypted = plain" expected decrypted;

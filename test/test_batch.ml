@@ -1,6 +1,6 @@
 (* The batched key-streaming execution path (Bootstrap.batch_with /
-   Keyswitch.apply_batch / Gates.bootstrap_batch and the ?batch knob on the
-   executors).
+   Keyswitch.apply_batch / Gates.bootstrap_batch / Gates.bootstrap_batch_rows
+   and the opts.batch knob on the executors).
 
    The contract under test is bit-exactness: the batched kernel reorders the
    *loop nest* (bootstrapping-key entry outermost, batch member innermost)
@@ -15,12 +15,15 @@ module Params = Pytfhe_tfhe.Params
 module Gates = Pytfhe_tfhe.Gates
 module Lwe = Pytfhe_tfhe.Lwe
 module Lwe_array = Pytfhe_tfhe.Lwe_array
+module Transform = Pytfhe_fft.Transform
 open Pytfhe_backend
 
 let keys = lazy (Gates.key_gen (Rng.create ~seed:909 ()) Params.test)
 
-(* The consolidated execution-options record, built from the old flags. *)
-let bopts ?batch ?soa () = Exec_opts.of_flags ?batch ?soa ()
+let ntt_keys =
+  lazy (Gates.key_gen (Rng.create ~seed:909 ()) (Params.with_transform Params.test Transform.Ntt))
+
+let bopts b = { Executor.default_opts with batch = Some b }
 
 (* ------------------------------------------------------------------ *)
 (* Lwe_array storage                                                   *)
@@ -243,6 +246,37 @@ let test_bootstrap_batch_matches_scalar () =
        false
      with Invalid_argument _ -> true)
 
+(* The row kernel the service, the DRQ2 workers and the benchmark launch:
+   any count up to the capacity is bit-exact with per-gate bootstraps, a
+   count above it is refused. *)
+let test_bootstrap_batch_rows =
+  QCheck.Test.make ~name:"bootstrap_batch_rows = per-gate bootstrap_in, fft and ntt" ~count:4
+    QCheck.(triple bool (int_range 2 5) small_int)
+    (fun (ntt, cap, seed) ->
+      let sk, ck = Lazy.force (if ntt then ntt_keys else keys) in
+      let rng = Rng.create ~seed:(9100 + seed) () in
+      let ctx = Gates.context ck in
+      let bc = Gates.batch_context ck ~cap in
+      let n = ck.Gates.cloud_params.Params.lwe.Params.n in
+      let plans = [| Gates.and_plan; Gates.xor_plan; Gates.nor_plan; Gates.oryn_plan |] in
+      let combined count =
+        Array.init count (fun i ->
+            Gates.combine ~n plans.(i mod Array.length plans)
+              (Gates.encrypt_bit rng sk (Rng.bool rng))
+              (Gates.encrypt_bit rng sk (Rng.bool rng)))
+      in
+      let exact count =
+        let wave = combined count in
+        let rows = Gates.bootstrap_batch_rows bc (Lwe_array.of_samples ~n wave) in
+        Lwe_array.length rows = count
+        && Array.for_all Fun.id
+             (Array.mapi (fun i c -> Lwe_array.get rows i = Gates.bootstrap_in ctx c) wave)
+      in
+      if not (exact (cap - 1)) then QCheck.Test.fail_report "count below cap differs";
+      if not (exact cap) then QCheck.Test.fail_report "count at cap differs";
+      raises_invalid (fun () ->
+          Gates.bootstrap_batch_rows bc (Lwe_array.of_samples ~n (combined (cap + 1)))))
+
 let test_mux_gate_in_matches_mux_gate () =
   let sk, ck = Lazy.force keys in
   let rng = Rng.create ~seed:77 () in
@@ -274,15 +308,15 @@ let test_batched_matches_scalar =
       let rng = Rng.create ~seed:(2000 + s2) () in
       let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
       let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-      let scalar_out, _ = Tfhe_eval.run ck net cts in
+      let scalar_out, _ = Run_net.cpu ck net cts in
       let plain = Array.of_list (List.map snd (Plain_eval.run net ins)) in
       if Array.map (Gates.decrypt_bit sk) scalar_out <> plain then
         QCheck.Test.fail_report "scalar path disagrees with plain_eval";
       let widest = Array.fold_left max 1 (Levelize.run net).Levelize.widths in
       List.for_all
         (fun b ->
-          let cpu_out, _ = Tfhe_eval.run ~opts:(bopts ~batch:b ()) ck net cts in
-          let par_out, _ = Par_eval.run ~workers:2 ~opts:(bopts ~batch:b ()) ck net cts in
+          let cpu_out, _ = Run_net.cpu ~opts:(bopts b) ck net cts in
+          let par_out, _ = Run_net.par ~workers:2 ~opts:(bopts b) ck net cts in
           cpu_out = scalar_out && par_out = scalar_out)
         [ 1; 3; 8; widest ])
 
@@ -294,8 +328,8 @@ let test_non_divisible_wave () =
   let rng = Rng.create ~seed:404 () in
   let ins = Array.init 6 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let scalar_out, _ = Tfhe_eval.run ck net cts in
-  let outs, st = Tfhe_eval.run ~opts:(bopts ~batch:3 ()) ck net cts in
+  let scalar_out, _ = Run_net.cpu ck net cts in
+  let outs, st = Run_net.cpu ~opts:(bopts 3) ck net cts in
   Alcotest.(check bool) "ciphertexts identical" true (outs = scalar_out);
   Alcotest.(check (array bool)) "decrypts to plain eval"
     (Array.of_list (List.map snd (Plain_eval.run net ins)))
@@ -306,12 +340,12 @@ let test_non_divisible_wave () =
   Alcotest.(check bool) "ks traffic accounted" true (st.Tfhe_eval.ks_bytes_streamed > 0);
   Alcotest.(check bool) "rejects batch < 1" true
     (try
-       ignore (Tfhe_eval.run ~opts:(bopts ~batch:0 ()) ck net cts);
+       ignore (Run_net.cpu ~opts:(bopts 0) ck net cts);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "par_eval rejects batch < 1" true
     (try
-       ignore (Par_eval.run ~workers:2 ~opts:(bopts ~batch:0 ()) ck net cts);
+       ignore (Run_net.par ~workers:2 ~opts:(bopts 0) ck net cts);
        false
      with Invalid_argument _ -> true)
 
@@ -321,8 +355,8 @@ let test_key_traffic_drops_with_batch () =
   let rng = Rng.create ~seed:405 () in
   let ins = Array.init 9 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let out1, st1 = Tfhe_eval.run ~opts:(bopts ~batch:1 ()) ck net cts in
-  let out8, st8 = Tfhe_eval.run ~opts:(bopts ~batch:8 ()) ck net cts in
+  let out1, st1 = Run_net.cpu ~opts:(bopts 1) ck net cts in
+  let out8, st8 = Run_net.cpu ~opts:(bopts 8) ck net cts in
   Alcotest.(check bool) "batch sizes agree on ciphertexts" true (out1 = out8);
   (* Streaming the key once per 8-gate wave instead of once per gate must
      cut accounted key traffic by far more than 2x. *)
@@ -331,30 +365,52 @@ let test_key_traffic_drops_with_batch () =
   Alcotest.(check bool) "ks traffic drops too" true
     (st1.Tfhe_eval.ks_bytes_streamed > st8.Tfhe_eval.ks_bytes_streamed)
 
-(* The ?soa knob: both batched layouts (record staging and flat Lwe_array
-   waves) must produce the scalar walk's exact ciphertexts, on both the
-   sequential and the multicore executor.  The multiprocess executor's
-   array-frame path is covered in test_dist.ml. *)
-let test_soa_matches_record =
-  QCheck.Test.make ~name:"soa and record batched layouts bit-exact with scalar" ~count:3
-    QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
-    (fun (s1, s2) ->
-      let sk, ck = Lazy.force keys in
-      let net = Gen_circuit.random ~seed:(11 + s1) () in
-      let rng = Rng.create ~seed:(3000 + s2) () in
-      let ins = Array.init (Netlist.input_count net) (fun _ -> Rng.bool rng) in
-      let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-      let scalar_out, _ = Tfhe_eval.run ck net cts in
-      let widest = Array.fold_left max 1 (Levelize.run net).Levelize.widths in
-      List.for_all
-        (fun b ->
-          let soa_out, _ = Tfhe_eval.run ~opts:(bopts ~batch:b ~soa:true ()) ck net cts in
-          let rec_out, _ = Tfhe_eval.run ~opts:(bopts ~batch:b ~soa:false ()) ck net cts in
-          let par_soa, _ = Par_eval.run ~workers:2 ~opts:(bopts ~batch:b ~soa:true ()) ck net cts in
-          let par_rec, _ = Par_eval.run ~workers:2 ~opts:(bopts ~batch:b ~soa:false ()) ck net cts in
-          soa_out = scalar_out && rec_out = scalar_out && par_soa = scalar_out
-          && par_rec = scalar_out)
-        [ 1; 3; 8; widest ])
+(* A pure-LUT netlist of two waves: three arity-1 cells (three rotation
+   units), then two cells over one operand tuple (one shared unit) plus a
+   cell over another (one unit) — six cells, five rotations. *)
+let lut_waves () =
+  let net = Netlist.create ~hash_consing:false ~fold_constants:false () in
+  let x = Array.init 3 (fun i -> Netlist.input net (Printf.sprintf "i%d" i)) in
+  let r = Array.map (fun v -> Netlist.lut net ~table:0b10 [| v |]) x in
+  List.iteri
+    (fun k (table, ins) -> Netlist.mark_output net (Printf.sprintf "o%d" k) (Netlist.lut net ~table ins))
+    [ (0b0110, [| r.(0); r.(1) |]); (0b1000, [| r.(0); r.(1) |]); (0b1110, [| r.(1); r.(2) |]) ];
+  net
+
+let test_lut_rotation_counts () =
+  let sk, ck = Lazy.force keys in
+  let net = lut_waves () in
+  let rng = Rng.create ~seed:406 () in
+  let ins = Array.init 3 (fun _ -> Rng.bool rng) in
+  let cts = Array.map (Gates.encrypt_bit rng sk) ins in
+  let reference = Run_net.reference ck net cts in
+  let cpu_out, cpu = Run_net.cpu ck net cts in
+  let par_out, par = Run_net.par ~workers:2 ck net cts in
+  Alcotest.(check bool) "cpu bit-exact with the in-order reference" true (cpu_out = reference);
+  Alcotest.(check bool) "par bit-exact with the in-order reference" true (par_out = reference);
+  Alcotest.(check (array int)) "six cells in two waves" [| 3; 3 |] cpu.Tfhe_eval.wave_width;
+  Alcotest.(check int) "cpu counts the shared rotation once" 5 cpu.Tfhe_eval.bootstraps_executed;
+  Alcotest.(check int) "par counts the shared rotation once" 5 par.Par_eval.bootstraps_executed;
+  Alcotest.(check int) "par per-domain rotations sum to the total" 5
+    (Array.fold_left ( + ) 0 par.Par_eval.per_domain_bootstraps)
+
+(* Under a batch, each domain runs its share of a wave's rotation units
+   through its own batch context: on 2 domains with a batch wider than any
+   share, a wave of 3 units launches twice (2 + 1) and a wave of 2 units
+   twice (1 + 1). *)
+let test_par_batches_lut_cells () =
+  let sk, ck = Lazy.force keys in
+  let net = lut_waves () in
+  let rng = Rng.create ~seed:407 () in
+  let ins = Array.init 3 (fun _ -> Rng.bool rng) in
+  let cts = Array.map (Gates.encrypt_bit rng sk) ins in
+  let reference = Run_net.reference ck net cts in
+  let outs, st = Run_net.par ~workers:2 ~opts:(bopts 8) ck net cts in
+  Alcotest.(check bool) "batched par bit-exact with the in-order reference" true
+    (outs = reference);
+  Alcotest.(check int) "one launch per domain share per wave" 4 st.Par_eval.batch_launches;
+  Alcotest.(check bool) "key traffic accounted" true (st.Par_eval.bsk_bytes_streamed > 0);
+  Alcotest.(check int) "rotations unchanged by batching" 5 st.Par_eval.bootstraps_executed
 
 let test_executor_batch_knob () =
   let sk, ck = Lazy.force keys in
@@ -362,16 +418,15 @@ let test_executor_batch_knob () =
   let rng = Rng.create ~seed:505 () in
   let ins = Array.init 4 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let module Cpu = (val Executor.cpu) in
-  let scalar_out, _ = Cpu.run ck net cts in
-  let outs, st = Cpu.run ~opts:(bopts ~batch:2 ()) ck net cts in
+  let run (module E : Executor.S) ?opts () = E.run_stream ?opts ck (Run_net.source net) cts in
+  let scalar_out, _ = run Executor.cpu () in
+  let outs, st = run Executor.cpu ~opts:(bopts 2) () in
   Alcotest.(check bool) "executor cpu batched bit-exact" true (outs = scalar_out);
   (match st.Executor.detail with
   | Executor.Cpu_stats s ->
     Alcotest.(check int) "batch size surfaced through detail" 2 s.Tfhe_eval.batch_size
   | _ -> Alcotest.fail "expected cpu stats");
-  let module Mc = (val Executor.multicore ~workers:2 ()) in
-  let outs, st = Mc.run ~opts:(bopts ~batch:2 ()) ck net cts in
+  let outs, st = run (Executor.multicore ~workers:2 ()) ~opts:(bopts 2) () in
   Alcotest.(check bool) "executor multicore batched bit-exact" true (outs = scalar_out);
   (match st.Executor.detail with
   | Executor.Multicore_stats s ->
@@ -395,15 +450,17 @@ let () =
         [
           Alcotest.test_case "bootstrap_batch = scalar bootstraps" `Slow
             test_bootstrap_batch_matches_scalar;
+          QCheck_alcotest.to_alcotest test_bootstrap_batch_rows;
           Alcotest.test_case "mux_gate_in = mux_gate" `Slow test_mux_gate_in_matches_mux_gate;
         ] );
       ( "executors",
         [
           QCheck_alcotest.to_alcotest test_batched_matches_scalar;
-          QCheck_alcotest.to_alcotest test_soa_matches_record;
           Alcotest.test_case "non-divisible wave" `Slow test_non_divisible_wave;
           Alcotest.test_case "key traffic drops with batch" `Slow
             test_key_traffic_drops_with_batch;
           Alcotest.test_case "executor ?batch knob" `Slow test_executor_batch_knob;
+          Alcotest.test_case "LUT rotations counted once" `Slow test_lut_rotation_counts;
+          Alcotest.test_case "par batches LUT cells per domain" `Slow test_par_batches_lut_cells;
         ] );
     ]

@@ -1,10 +1,9 @@
 (* Differential and fault-injection tests for the multi-process executor.
 
    The cross-backend suite is the repo's strongest correctness statement:
-   five executors with nothing in common above the gate kernel — plain
-   netlist walk, streamed binary, sequential encrypted, domain-parallel
-   encrypted, and multi-process encrypted — must agree bit-for-bit on
-   seeded random DAGs.  The fault suite then breaks the distributed one on
+   the plain netlist walk, the plaintext binary stream, the in-order
+   encrypted stream, and the sequential, domain-parallel and multi-process
+   wave executors must agree bit-for-bit on seeded random DAGs.  The fault suite then breaks the distributed one on
    purpose (real SIGKILL, real truncated frames, real stalls) and checks
    the coordinator recovers without losing bit-exactness. *)
 
@@ -18,10 +17,10 @@ let keys = lazy (Gates.key_gen (Rng.create ~seed:909 ()) Pytfhe_tfhe.Params.test
 
 let random_bits rng n = Array.init n (fun _ -> Rng.bool rng)
 
-let bopts ?batch ?soa () = Exec_opts.of_flags ?batch ?soa ()
+let bopts b = { Executor.default_opts with batch = Some b }
 
-(* Sequential encrypted reference plus plaintext truth for [net]/[ins]. *)
-let reference ck net cts = fst (Tfhe_eval.run ck net cts)
+(* The in-order scalar reference every wave executor must reproduce. *)
+let reference = Run_net.reference
 
 (* ------------------------------------------------------------------ *)
 (* Cross-backend differential suite                                    *)
@@ -42,11 +41,13 @@ let test_cross_backend =
       let cts = Array.map (Gates.encrypt_bit rng sk) ins in
       let seq_out = reference ck net cts in
       if Array.map (Gates.decrypt_bit sk) seq_out <> plain then
-        QCheck.Test.fail_report "tfhe_eval disagrees with plain_eval";
+        QCheck.Test.fail_report "in-order encrypted stream disagrees with plain_eval";
+      if fst (Run_net.cpu ck net cts) <> seq_out then
+        QCheck.Test.fail_report "sequential wave executor disagrees with the reference";
       List.for_all
         (fun workers ->
-          let par_out, _ = Par_eval.run ~workers ck net cts in
-          let dist_out, st = Dist_eval.run (Dist_eval.config workers) ck net cts in
+          let par_out, _ = Run_net.par ~workers ck net cts in
+          let dist_out, st = Run_net.dist (Dist_eval.config workers) ck net cts in
           par_out = seq_out && dist_out = seq_out
           && st.Dist_eval.workers_started = workers
           && st.Dist_eval.workers_lost = 0)
@@ -54,8 +55,9 @@ let test_cross_backend =
 
 (* The LUT analog of the cross-backend suite, doubled: the same seeded
    LUT-bearing DAG is run as generated AND after Opt.lut_cover, and every
-   executor — plain walk, streamed binary, sequential encrypted (per-gate,
-   batched, SoA), domain-parallel, multi-process — must reproduce the
+   executor — plain walk, streamed binary, in-order encrypted, sequential
+   (per-gate, batched), domain-parallel (per-gate, batched), multi-process
+   — must reproduce the
    original netlist's plaintext truth bit-for-bit on both versions. *)
 let test_cross_backend_lut =
   QCheck.Test.make
@@ -78,17 +80,18 @@ let test_cross_backend_lut =
           let cts = Array.map (Gates.encrypt_bit rng sk) ins in
           let seq_out = reference ck n cts in
           if Array.map (Gates.decrypt_bit sk) seq_out <> truth then
-            QCheck.Test.fail_report "tfhe_eval disagrees with plain_eval on a LUT netlist";
-          let batched, _ = Tfhe_eval.run ~opts:(bopts ~batch:3 ()) ck n cts in
-          let soa, _ = Tfhe_eval.run ~opts:(bopts ~batch:3 ~soa:true ()) ck n cts in
-          if batched <> seq_out || soa <> seq_out then
-            QCheck.Test.fail_report "batched/SoA paths disagree on a LUT netlist";
+            QCheck.Test.fail_report
+              "in-order encrypted stream disagrees with plain_eval on a LUT netlist";
+          let scalar, _ = Run_net.cpu ck n cts in
+          let batched, _ = Run_net.cpu ~opts:(bopts 3) ck n cts in
+          if scalar <> seq_out || batched <> seq_out then
+            QCheck.Test.fail_report "sequential scalar/batched paths disagree on a LUT netlist";
           List.for_all
             (fun workers ->
-              let par_out, _ = Par_eval.run ~workers ck n cts in
-              let par_soa, _ = Par_eval.run ~workers ~opts:(bopts ~batch:3 ~soa:true ()) ck n cts in
-              let dist_out, st = Dist_eval.run (Dist_eval.config workers) ck n cts in
-              par_out = seq_out && par_soa = seq_out && dist_out = seq_out
+              let par_out, _ = Run_net.par ~workers ck n cts in
+              let par_batched, _ = Run_net.par ~workers ~opts:(bopts 3) ck n cts in
+              let dist_out, st = Run_net.dist (Dist_eval.config workers) ck n cts in
+              par_out = seq_out && par_batched = seq_out && dist_out = seq_out
               && st.Dist_eval.workers_lost = 0)
             [ 1; 2; 4 ])
         [ net; covered ])
@@ -99,8 +102,8 @@ let test_dist_stats_and_validation () =
   let rng = Rng.create ~seed:41 () in
   let ins = random_bits rng 5 in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let seq_out, seq_stats = Tfhe_eval.run ck net cts in
-  let outs, st = Dist_eval.run (Dist_eval.config 2) ck net cts in
+  let seq_out, seq_stats = Run_net.cpu ck net cts in
+  let outs, st = Run_net.dist (Dist_eval.config 2) ck net cts in
   Alcotest.(check bool) "ciphertexts identical" true (outs = seq_out);
   Alcotest.(check int) "bootstrap totals agree" seq_stats.Tfhe_eval.bootstraps_executed
     st.Dist_eval.bootstraps_executed;
@@ -114,29 +117,8 @@ let test_dist_stats_and_validation () =
   Alcotest.(check bool) "rejects workers < 1" true
     (try ignore (Dist_eval.config 0); false with Invalid_argument _ -> true);
   Alcotest.(check bool) "rejects input arity mismatch" true
-    (try ignore (Dist_eval.run (Dist_eval.config 2) ck net (Array.sub cts 0 2)); false
+    (try ignore (Run_net.dist (Dist_eval.config 2) ck net (Array.sub cts 0 2)); false
      with Invalid_argument _ -> true)
-
-(* Both wire layouts — per-sample DREQ/DREP frames and struct-of-arrays
-   DRQ2/DRP2 frames — must produce the sequential executor's exact
-   ciphertexts.  Every other test in this file runs the array frames (the
-   default), so this is the legacy path's regression test, plus the check
-   that the two layouts agree with each other. *)
-let test_array_frames_toggle () =
-  let sk, ck = Lazy.force keys in
-  let net = Gen_circuit.wide ~width:5 ~depth:3 in
-  let rng = Rng.create ~seed:51 () in
-  let ins = random_bits rng 6 in
-  let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let seq_out = reference ck net cts in
-  let arr_out, arr_st = Dist_eval.run (Dist_eval.config ~array_frames:true 2) ck net cts in
-  let leg_out, leg_st = Dist_eval.run (Dist_eval.config ~array_frames:false 2) ck net cts in
-  Alcotest.(check bool) "array frames bit-exact" true (arr_out = seq_out);
-  Alcotest.(check bool) "legacy frames bit-exact" true (leg_out = seq_out);
-  Alcotest.(check int) "same bootstrap count" leg_st.Dist_eval.bootstraps_executed
-    arr_st.Dist_eval.bootstraps_executed;
-  Alcotest.(check bool) "both layouts moved bytes" true
-    (arr_st.Dist_eval.bytes_to_workers > 0 && leg_st.Dist_eval.bytes_to_workers > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -152,7 +134,7 @@ let run_with_faults ?request_timeout ?max_retries ?backoff ~workers faults =
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
   let seq_out = reference ck net cts in
   let cfg = Dist_eval.config ?request_timeout ?max_retries ?backoff ~faults workers in
-  let outs, st = Dist_eval.run cfg ck net cts in
+  let outs, st = Run_net.dist cfg ck net cts in
   Alcotest.(check bool) "outputs bit-exact despite fault" true (outs = seq_out);
   st
 
@@ -206,7 +188,7 @@ let test_fault_all_workers_lost () =
     Dist_eval.config ~faults:[ { Dist_eval.victim = 0; after_requests = 1; action = Dist_eval.Crash } ] 1
   in
   Alcotest.(check bool) "single worker crash raises Failure" true
-    (try ignore (Dist_eval.run cfg ck net cts); false with Failure _ -> true)
+    (try ignore (Run_net.dist cfg ck net cts); false with Failure _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* DHEL transform negotiation                                          *)
@@ -266,7 +248,7 @@ let test_dist_ntt_end_to_end () =
   let ins = random_bits rng 5 in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
   let seq_out = reference ck net cts in
-  let outs, st = Dist_eval.run (Dist_eval.config 2) ck net cts in
+  let outs, st = Run_net.dist (Dist_eval.config 2) ck net cts in
   Alcotest.(check bool) "ntt dist bit-exact with sequential" true (outs = seq_out);
   Alcotest.(check int) "no workers lost" 0 st.Dist_eval.workers_lost
 
@@ -282,7 +264,6 @@ let () =
           QCheck_alcotest.to_alcotest test_cross_backend;
           QCheck_alcotest.to_alcotest test_cross_backend_lut;
           Alcotest.test_case "stats and validation" `Slow test_dist_stats_and_validation;
-          Alcotest.test_case "array-frames toggle" `Slow test_array_frames_toggle;
         ] );
       ( "faults",
         [

@@ -2,8 +2,7 @@
 
    The load-bearing property is that tracing is a pure observer: a traced
    run must be bit-exact with an untraced run on every backend, for any
-   netlist (the traced sequential executor even walks the DAG in a
-   different — wave — order, so this is a real statement, not a tautology).
+   netlist, and must record a wave span for every executed wave.
    On top of that: the Chrome exporter must emit schema-valid traces whose
    per-track spans never overlap, the metrics aggregator must sum/track
    correctly, events must survive the DTRC wire format, and a worker crash
@@ -17,7 +16,6 @@ module Gates = Pytfhe_tfhe.Gates
 module Trace = Pytfhe_obs.Trace
 module Metrics = Pytfhe_obs.Metrics
 module Executor = Pytfhe_backend.Executor
-module Tfhe_eval = Pytfhe_backend.Tfhe_eval
 module Dist_eval = Pytfhe_backend.Dist_eval
 module Pipeline = Pytfhe_core.Pipeline
 module Server = Pytfhe_core.Server
@@ -257,14 +255,14 @@ let test_dist_crash_trace () =
   let rng = Rng.create ~seed:52 () in
   let ins = random_bits rng 7 in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-  let seq_out, _ = Tfhe_eval.run ck net cts in
+  let seq_out = Run_net.reference ck net cts in
   let obs = Trace.create () in
   let cfg =
     Dist_eval.config
       ~faults:[ { Dist_eval.victim = 1; after_requests = 2; action = Dist_eval.Crash } ]
       3
   in
-  let outs, st = Dist_eval.run ~opts:{ Executor.default_opts with obs } cfg ck net cts in
+  let outs, st = Run_net.dist ~opts:{ Executor.default_opts with obs } cfg ck net cts in
   Alcotest.(check bool) "bit-exact despite crash" true (outs = seq_out);
   Alcotest.(check int) "one worker lost" 1 st.Dist_eval.workers_lost;
   let evs = Trace.events obs in
@@ -281,7 +279,7 @@ let test_dist_traced_stats () =
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
   let obs = Trace.create () in
   let _, st =
-    Dist_eval.run ~opts:{ Executor.default_opts with obs } (Dist_eval.config 2) ck net cts
+    Run_net.dist ~opts:{ Executor.default_opts with obs } (Dist_eval.config 2) ck net cts
   in
   let evs = Trace.events obs in
   let shard_spans =

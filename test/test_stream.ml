@@ -3,8 +3,10 @@
    The contract under test: [Pipeline.compile_stream] over the same
    construction is byte-identical to the one-shot unoptimized compile, for
    any CSE window; and every executor's [run_stream] over the emitted
-   stream is bit-identical to its [run] over the parsed netlist —
-   including LUT-covered circuits — across Cpu/Par/Dist. *)
+   stream, for any segment window, is bit-identical to the in-order
+   scalar reference ([Stream_exec.run_encrypted]) and decrypts to the
+   netlist's plaintext truth — including LUT-covered circuits — across
+   Cpu/Par/Dist. *)
 
 module Netlist = Pytfhe_circuit.Netlist
 module Binary = Pytfhe_circuit.Binary
@@ -163,7 +165,7 @@ let test_of_binary_source () =
     (Netlist.gate_count c.Pipeline.netlist)
 
 (* ------------------------------------------------------------------ *)
-(* run_stream vs run, across executors                                 *)
+(* run_stream vs the in-order reference, across executors             *)
 (* ------------------------------------------------------------------ *)
 
 let keys = lazy (Pytfhe_tfhe.Gates.key_gen (Rng.create ~seed:909 ()) Pytfhe_tfhe.Params.test)
@@ -178,10 +180,11 @@ let check_executor_stream (module E : Executor.S) ?opts ?window net seed =
   let sk, ck = Lazy.force keys in
   let bytes = Binary.assemble net in
   let ins, cts = encrypted_inputs net seed in
-  let ref_out, _ = E.run ?opts ck (Binary.parse bytes) cts in
+  let ref_out = Stream_exec.run_encrypted ck bytes cts in
   let stream_out, _ = E.run_stream ?opts ?window ck (source_of_bytes bytes) cts in
-  if stream_out <> ref_out then QCheck.Test.fail_report "run_stream ciphertexts differ from run";
-  let plain = Stream_exec.run_bits bytes ins in
+  if stream_out <> ref_out then
+    QCheck.Test.fail_report "run_stream ciphertexts differ from the in-order reference";
+  let plain = Array.of_list (List.map snd (Plain_eval.run net ins)) in
   Array.for_all2 ( = ) plain (Array.map (Pytfhe_tfhe.Gates.decrypt_bit sk) stream_out)
 
 let test_cpu_stream_matches =

@@ -196,9 +196,12 @@ let test_cross_transform_netlists =
       let decrypted_under (sk, ck) =
         let rng = Rng.create ~seed:(5000 + s2) () in
         let cts = Array.map (Gates.encrypt_bit rng sk) ins in
-        let seq_out, _ = Tfhe_eval.run ck net cts in
-        let par_out, _ = Par_eval.run ~workers:2 ck net cts in
-        let dist_out, _ = Dist_eval.run (Dist_eval.config 2) ck net cts in
+        let seq_out = Run_net.reference ck net cts in
+        let cpu_out, _ = Run_net.cpu ck net cts in
+        let par_out, _ = Run_net.par ~workers:2 ck net cts in
+        let dist_out, _ = Run_net.dist (Dist_eval.config 2) ck net cts in
+        if cpu_out <> seq_out then
+          QCheck.Test.fail_report "cpu executor not bit-exact with the in-order reference";
         if par_out <> seq_out then
           QCheck.Test.fail_report "par executor not bit-exact with sequential";
         if dist_out <> seq_out then
@@ -229,7 +232,7 @@ let test_par_run_builds_no_tables () =
   let ring_n = ck.Gates.cloud_params.Params.tlwe.Params.ring_n in
   Alcotest.(check bool) "ntt tables ready before the run" true (Ntt.tables_ready ring_n);
   let b0 = Ntt.builds () in
-  let _, _ = Par_eval.run ~workers:4 ck net cts in
+  let _, _ = Run_net.par ~workers:4 ck net cts in
   Alcotest.(check int) "no ntt table builds during the parallel run" b0 (Ntt.builds ());
   Alcotest.(check bool) "fft transform tables also ready" true
     (Transform.tables_ready Transform.Ntt ring_n)
