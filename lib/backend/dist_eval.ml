@@ -4,8 +4,8 @@
    a cost model, this executor actually crosses the process boundary: it
    spawns N worker processes, ships the cloud keyset once at startup, and
    then drives the wave driver's schedule by sending each worker a shard
-   of every wave's bootstrapped gates — input ciphertexts serialized
-   through Wire inside length-prefixed frames over Unix socketpairs — and
+   of every wave's rotation units — input ciphertexts serialized through
+   Wire inside length-prefixed frames over Unix socketpairs — and
    collecting the result ciphertexts at a wave barrier.
 
    Workers are spawned by re-executing the host binary (create_process /
@@ -31,11 +31,11 @@
    - loss of a worker degrades capacity gracefully: survivors absorb the
      shard, down to a single worker.  Only losing *every* worker raises.
 
-   Because each gate runs the identical torus operation sequence as
-   Tfhe_eval.apply_gate — only in another address space, with the operands
-   round-tripped through the exact 32-bit wire encoding — the output
-   ciphertexts are bit-exact with the sequential executor for any worker
-   count and any fault pattern the executor survives. *)
+   Because workers run the sequential backend's own batched wave runners —
+   only in another address space, with the operands round-tripped through
+   the exact 32-bit wire encoding — the output ciphertexts are bit-exact
+   with the sequential executor for any worker count and any fault pattern
+   the executor survives. *)
 
 module Gate = Pytfhe_circuit.Gate
 module Wire = Pytfhe_util.Wire
@@ -164,47 +164,144 @@ let parse_hello r =
     raise (Wire.Corrupt "Dist_eval: transform mismatch between DHEL tag and keyset");
   (index, obs_on, obs_epoch, faults, ck)
 
-(* The worker is a stateless gate server: after the hello frame (identity,
-   transform tag, fault schedule, cloud keyset) it answers DREQ frames —
-   each a batch of (gate, input ciphertext, input ciphertext) triples —
-   with DREP frames carrying the result ciphertexts plus the measured
-   compute seconds.  All exits go through Unix._exit: the child must never
-   run the parent's at_exit handlers or flush its inherited stdio
-   buffers. *)
+(* A DRQ2 request carries one shard of a wave's rotation units: the
+   classic gates first (u8 codes), then the LUT units (arity and truth
+   tables: one for an arity-1 cell, every table over the shared operand
+   tuple of a multi-input group), then every unit's operands as one flat
+   Lwe_array — two rows per gate, [arity] per LUT unit, so a group's
+   operands cross the wire once.  The DRP2 reply carries the outputs in the
+   same order, one per gate and one per table.  Arity-1 operands travel as
+   classic views, multi-input operands lutdom-encoded, exactly as the wave
+   runners take them. *)
+
+let write_shard buf ~n tasks gates cells =
+  Wire.write_array buf
+    (fun buf i ->
+      match tasks.(i) with
+      | Stream_exec.T_gate { gate; _ } -> Wire.write_u8 buf (Gate.to_code gate)
+      | Stream_exec.T_lut _ -> assert false)
+    gates;
+  Wire.write_array buf
+    (fun buf cell ->
+      let arity, tables =
+        match cell with
+        | Stream_exec.C_sign { table; _ } -> (1, [| table |])
+        | Stream_exec.C_group g -> (g.arity, Array.of_list (List.rev g.tables))
+      in
+      Wire.write_u8 buf arity;
+      Wire.write_array buf Wire.write_u8 tables)
+    cells;
+  let operands =
+    List.map
+      (fun i ->
+        match tasks.(i) with
+        | Stream_exec.T_gate { a; b; _ } -> [| a; b |]
+        | Stream_exec.T_lut _ -> assert false)
+      (Array.to_list gates)
+    @ List.map
+        (function
+          | Stream_exec.C_sign { operand; _ } -> [| operand |]
+          | Stream_exec.C_group g -> g.raws)
+        (Array.to_list cells)
+  in
+  Lwe_array.write buf (Lwe_array.of_samples ~n (Array.concat operands))
+
+(* The worker side of [write_shard]: the gate tasks, the LUT units with
+   their output positions (after the gates, in reply order) and the output
+   count.  Anything malformed raises [Wire.Corrupt]. *)
+let read_shard r ~n =
+  let corrupt msg = raise (Wire.Corrupt ("Dist_eval: " ^ msg)) in
+  let codes = Wire.read_array r Wire.read_u8 in
+  let units =
+    Wire.read_array r (fun r ->
+        let arity = Wire.read_u8 r in
+        (arity, Wire.read_array r Wire.read_u8))
+  in
+  let ops = Lwe_array.read r in
+  if Lwe_array.dim ops <> n then corrupt "operand dimension mismatch";
+  let next = ref 0 in
+  let take () =
+    if !next >= Lwe_array.length ops then corrupt "too few operands";
+    incr next;
+    Lwe_array.get ops (!next - 1)
+  in
+  let tasks =
+    Array.map
+      (fun code ->
+        match Gate.of_code code with
+        | Some gate when not (Gate.is_unary gate) ->
+          let a = take () in
+          let b = take () in
+          Stream_exec.T_gate { gate; a; b }
+        | Some _ | None -> corrupt (Printf.sprintf "bad gate code %d" code))
+      codes
+  in
+  let pos = ref (Array.length tasks) in
+  let cells =
+    Array.map
+      (fun (arity, tables) ->
+        let count = Array.length tables in
+        if arity < 1 || arity > 3 || count = 0 || (arity = 1 && count <> 1) then
+          corrupt (Printf.sprintf "bad lut%d unit with %d tables" arity count);
+        Array.iter
+          (fun t ->
+            if t lsr (1 lsl arity) <> 0 then
+              corrupt (Printf.sprintf "lut%d table %#x out of range" arity t))
+          tables;
+        let raws = Array.init arity (fun _ -> take ()) in
+        let base = !pos in
+        pos := base + count;
+        if arity = 1 then Stream_exec.C_sign { idx = base; table = tables.(0); operand = raws.(0) }
+        else
+          Stream_exec.C_group
+            {
+              idxs = List.rev (List.init count (fun k -> base + k));
+              tables = List.rev (Array.to_list tables);
+              arity;
+              raws;
+            })
+      units
+  in
+  if !next <> Lwe_array.length ops then corrupt "too many operands";
+  (tasks, cells, !pos)
+
+(* Batch capacity of a worker's launches. *)
+let worker_batch_cap = 32
+
+(* The worker is a stateless rotation server: after the hello frame
+   (identity, transform tag, fault schedule, cloud keyset) it answers each
+   DRQ2 shard with a DRP2 frame carrying the outputs plus the measured
+   compute seconds.  The shard runs through the same batched gate and cell
+   runners as the sequential backend's [--batch].  All exits go through
+   Unix._exit: the child must never run the parent's at_exit handlers or
+   flush its inherited stdio buffers. *)
 let worker_main fd =
   let hello = read_frame fd in
   let r = Wire.reader_of_string hello in
   let index, obs_on, obs_epoch, faults, ck = parse_hello r in
-  (* Build the transform tables once, up front: the gate loop below must
+  (* Build the transform tables once, up front: the shard loop below must
      never find them missing (a worker that built tables mid-request would
      blow its first deadline on large rings). *)
-  Params.precompute ck.Gates.cloud_params;
-  let ctx = Gates.context ck in
+  let p = ck.Gates.cloud_params in
+  Params.precompute p;
+  let n = p.Params.lwe.Params.n in
+  let bc = Gates.batch_context ck ~cap:worker_batch_cap in
   let wsink = if obs_on then Trace.create ~epoch:obs_epoch () else Trace.null in
   let wtr = Trace.new_track wsink ~name:(Printf.sprintf "worker %d" index) in
-  (* ready: the keyset is parsed and the gate context built.  Also the
+  (* ready: the keyset is parsed and the batch context built.  Also the
      coordinator's proof that the spawned binary really is a worker. *)
   let rdy = Buffer.create 8 in
   Wire.write_magic rdy "DRDY";
   ignore (write_frame fd (Buffer.to_bytes rdy));
-  (* SoA request scratch, built on first DRQ2: the row-batched context and
-     a staging array for sub-batches of at most [worker_batch_cap] gates.
-     A worker that only ever serves LUT shards (DREQ) never pays for it. *)
-  let worker_batch_cap = 32 in
-  let soa_scratch =
-    lazy
-      (let n = ck.Gates.cloud_params.Params.lwe.Params.n in
-       (Gates.batch_context ck ~cap:worker_batch_cap, Lwe_array.create ~n worker_batch_cap))
-  in
   let served = ref 0 in
   let rec loop () =
     let payload = read_frame fd in
     if String.length payload < 4 then Unix._exit 4;
     (match String.sub payload 0 4 with
     | "DBYE" -> Unix._exit 0
-    | ("DREQ" | "DRQ2") as magic ->
+    | "DRQ2" ->
       let r = Wire.reader_of_string payload in
-      Wire.read_magic r magic;
+      Wire.read_magic r "DRQ2";
       let req_id = Wire.read_i64 r in
       incr served;
       let due = List.filter (fun f -> f.after_requests = !served) faults in
@@ -212,115 +309,32 @@ let worker_main fd =
         (* a genuine SIGKILL mid-wave: the request dies with us *)
         Unix.kill (Unix.getpid ()) Sys.sigkill;
       List.iter (fun f -> match f.action with Stall s -> Unix.sleepf s | _ -> ()) due;
-      let boots, t0, t1, reply =
-        if magic = "DREQ" then begin
-          (* Record codes 0–127 are classic gates (two operand samples);
-             128+arity (129–131) are programmable LUT cells: a u8 truth
-             table then [arity] operand samples.  The coordinator ships
-             arity-1 operands already as classic views; arity-2/3 operands
-             arrive lutdom-encoded, exactly as [Gates.lut_cell_in] wants. *)
-          let gates =
-            Wire.read_array r (fun r ->
-                let code = Wire.read_u8 r in
-                if code >= 129 && code <= 131 then begin
-                  let arity = code - 128 in
-                  let table = Wire.read_u8 r in
-                  if table lsr (1 lsl arity) <> 0 then
-                    raise
-                      (Wire.Corrupt
-                         (Printf.sprintf "Dist_eval: lut%d table %#x out of range" arity
-                            table));
-                  let ops = Array.make arity (Lwe.read_sample r) in
-                  for i = 1 to arity - 1 do
-                    ops.(i) <- Lwe.read_sample r
-                  done;
-                  `Lut (arity, table, ops)
-                end
-                else begin
-                  let a = Lwe.read_sample r in
-                  let b = Lwe.read_sample r in
-                  `Gate (code, a, b)
-                end)
-          in
-          let t0 = Unix.gettimeofday () in
-          let results =
-            Array.map
-              (function
-                | `Gate (code, a, b) -> (
-                  match Gate.of_code code with
-                  | Some g -> Tfhe_eval.apply_gate ctx g a b
-                  | None ->
-                    raise (Wire.Corrupt (Printf.sprintf "Dist_eval: bad gate code %d" code)))
-                | `Lut (arity, table, ops) -> Gates.lut_cell_in ctx ~arity ~table ops)
-              gates
-          in
-          let t1 = Unix.gettimeofday () in
-          let buf = Buffer.create 4096 in
-          Wire.write_magic buf "DREP";
-          Wire.write_i64 buf req_id;
-          Wire.write_f64 buf (t1 -. t0);
-          Wire.write_array buf Lwe.write_sample results;
-          (Array.length gates, t0, t1, Buffer.to_bytes buf)
-        end
-        else begin
-          (* The SoA shard: u8 gate codes, then the a- and b-operand waves as
-             two flat Lwe_array frames — one bounds-checked blit each instead
-             of per-sample framing.  Gates run through the row-batched
-             kernels, so the worker materializes no per-gate records either;
-             results are bit-exact with the scalar DREQ path. *)
-          let codes = Wire.read_array r Wire.read_u8 in
-          let va = Lwe_array.read r in
-          let vb = Lwe_array.read r in
-          let count = Array.length codes in
-          if Lwe_array.length va <> count || Lwe_array.length vb <> count then
-            raise (Wire.Corrupt "Dist_eval: array-frame operand count mismatch");
-          if Lwe_array.dim va <> Lwe_array.dim vb then
-            raise (Wire.Corrupt "Dist_eval: array-frame operand dimension mismatch");
-          let plans =
-            Array.map
-              (fun code ->
-                match Gate.of_code code with
-                | Some g when not (Gate.is_unary g) -> Tfhe_eval.plan_of g
-                | Some _ | None ->
-                  raise (Wire.Corrupt (Printf.sprintf "Dist_eval: bad gate code %d" code)))
-              codes
-          in
-          let bc, staging = Lazy.force soa_scratch in
-          let t0 = Unix.gettimeofday () in
-          let out = Lwe_array.create ~n:(Lwe_array.dim va) count in
-          let pos = ref 0 in
-          while !pos < count do
-            let len = min worker_batch_cap (count - !pos) in
-            let base = !pos in
-            for i = 0 to len - 1 do
-              Gates.combine_rows_into plans.(base + i) ~a:va ~arow:(base + i) ~b:vb
-                ~brow:(base + i) ~dst:staging ~drow:i
-            done;
-            let outs = Gates.bootstrap_batch_rows bc (Lwe_array.slice staging ~pos:0 ~len) in
-            Lwe_array.blit ~src:outs ~src_pos:0 ~dst:out ~dst_pos:base ~len;
-            pos := base + len
-          done;
-          let t1 = Unix.gettimeofday () in
-          let buf = Buffer.create 4096 in
-          Wire.write_magic buf "DRP2";
-          Wire.write_i64 buf req_id;
-          Wire.write_f64 buf (t1 -. t0);
-          Lwe_array.write buf out;
-          (count, t0, t1, Buffer.to_bytes buf)
-        end
-      in
+      let tasks, cells, outputs = read_shard r ~n in
+      let t0 = Unix.gettimeofday () in
+      let out = Array.make outputs None in
+      Stream_exec.run_gates_batched bc ~batch:worker_batch_cap ~n tasks
+        (Array.init (Array.length tasks) Fun.id)
+        out;
+      Stream_exec.run_cells_batched bc ~batch:worker_batch_cap ~n cells out;
+      let t1 = Unix.gettimeofday () in
+      let rotations = Array.length tasks + Array.length cells in
+      let buf = Buffer.create 4096 in
+      Wire.write_magic buf "DRP2";
+      Wire.write_i64 buf req_id;
+      Wire.write_f64 buf (t1 -. t0);
+      Lwe_array.write buf (Lwe_array.of_samples ~n (Array.map Option.get out));
+      let reply = Buffer.to_bytes buf in
       (* Ship collected spans in a DTRC frame *before* the reply, so the
          coordinator has always consumed a shard's trace by the time it
          accepts the shard — a worker dying right after the reply (or
          sending a faulted one) loses at most its own last spans,
          truncating the trace but never corrupting it. *)
       if Trace.enabled wsink then begin
-        let p = ck.Gates.cloud_params in
         let ep = Trace.epoch wsink in
         Trace.span wtr ~cat:"shard"
-          ~name:(Printf.sprintf "req %d (%d gates)" req_id boots)
+          ~name:(Printf.sprintf "req %d (%d rotations)" req_id rotations)
           ~t0:(t0 -. ep) ~t1:(t1 -. ep);
-        Exec_obs.crypto_counters wtr p ~bootstraps:boots;
+        Exec_obs.crypto_counters wtr p ~bootstraps:rotations;
         match Trace.flush wsink with
         | [] -> ()
         | events ->
@@ -365,18 +379,9 @@ type worker = {
   mutable reaped : bool;
 }
 
-(* One unit of shard work, with operands already resolved to ciphertexts —
-   exactly what the DREQ wire format carries, so shards are program-free. *)
-type shard_item =
-  | S_gate of { code : int; a : Lwe.sample; b : Lwe.sample }
-      (** Classic bootstrapped gate; operands are classic views. *)
-  | S_lut of { arity : int; table : int; ops : Lwe.sample array }
-      (** LUT cell; arity-1 operand is a classic view, arity-2/3 operands
-          are raw lutdom ciphertexts. *)
-
 type shard = {
-  items : shard_item array;
-  dsts : int array;  (* destination keys, fed to [state.put] with results *)
+  body : string;  (* the DRQ2 payload after the request id *)
+  dsts : int array;  (* wave task position of each output, in reply order *)
   mutable owner : worker;
   mutable req_id : int;
   mutable deadline : float;
@@ -386,7 +391,6 @@ type shard = {
 
 type state = {
   cfg : config;
-  lwe_n : int;
   mutable put : int -> Lwe.sample -> unit;  (* result writeback, per run *)
   members : worker array;
   obs : Trace.sink;
@@ -479,51 +483,10 @@ let send_shard st sh =
   let t0 = Unix.gettimeofday () in
   st.next_req <- st.next_req + 1;
   sh.req_id <- st.next_req;
-  let buf = Buffer.create 4096 in
-  (* DRQ2's flat two-operand frames can't carry variable-arity LUT records:
-     classic-only shards take the SoA frame, a shard containing any LUT
-     cell the per-record DREQ framing. *)
-  if Array.for_all (function S_gate _ -> true | S_lut _ -> false) sh.items then begin
-    (* SoA request: gate codes, then the two operand waves packed as flat
-       Lwe_array frames — one bounds-checked blit per direction on the wire
-       instead of per-sample framing. *)
-    let count = Array.length sh.items in
-    let va = Lwe_array.create ~n:st.lwe_n count in
-    let vb = Lwe_array.create ~n:st.lwe_n count in
-    let codes = Array.make count 0 in
-    Array.iteri
-      (fun i item ->
-        match item with
-        | S_gate { code; a; b } ->
-          codes.(i) <- code;
-          Lwe_array.set va i a;
-          Lwe_array.set vb i b
-        | S_lut _ -> assert false)
-      sh.items;
-    Wire.write_magic buf "DRQ2";
-    Wire.write_i64 buf sh.req_id;
-    Wire.write_array buf Wire.write_u8 codes;
-    Lwe_array.write buf va;
-    Lwe_array.write buf vb
-  end
-  else begin
-    Wire.write_magic buf "DREQ";
-    Wire.write_i64 buf sh.req_id;
-    Wire.write_array buf
-      (fun buf item ->
-        match item with
-        | S_gate { code; a; b } ->
-          Wire.write_u8 buf code;
-          Lwe.write_sample buf a;
-          Lwe.write_sample buf b
-        | S_lut { arity; table; ops } ->
-          (* LUT record: code 128+arity, u8 table, then the operands
-             (arity-1: classic view; arity-2/3: lutdom-encoded). *)
-          Wire.write_u8 buf (128 + arity);
-          Wire.write_u8 buf table;
-          Array.iter (fun a -> Lwe.write_sample buf a) ops)
-      sh.items
-  end;
+  let buf = Buffer.create (String.length sh.body + 16) in
+  Wire.write_magic buf "DRQ2";
+  Wire.write_i64 buf sh.req_id;
+  Buffer.add_string buf sh.body;
   let n = write_frame w.fd (Buffer.to_bytes buf) in
   let now = Unix.gettimeofday () in
   st.bytes_out <- st.bytes_out + n;
@@ -591,7 +554,7 @@ let on_ready st pending w =
     else declare_lost st pending w
   in
   (* One frame per call: a DTRC (optional worker trace, sent before its
-     DREP) is merged and the select loop comes back for the reply still
+     DRP2) is merged and the select loop comes back for the reply still
      buffered on the socket. *)
   let parse_trc payload =
     match
@@ -614,21 +577,12 @@ let on_ready st pending w =
       parse_trc payload;
       None
     end
-    else if String.length payload >= 4 && String.sub payload 0 4 = "DRP2" then begin
+    else begin
       let r = Wire.reader_of_string payload in
       Wire.read_magic r "DRP2";
       let req_id = Wire.read_i64 r in
       let compute = Wire.read_f64 r in
-      let arr = Lwe_array.read r in
-      Some (req_id, compute, Lwe_array.to_samples arr)
-    end
-    else begin
-      let r = Wire.reader_of_string payload in
-      Wire.read_magic r "DREP";
-      let req_id = Wire.read_i64 r in
-      let compute = Wire.read_f64 r in
-      let samples = Wire.read_array r Lwe.read_sample in
-      Some (req_id, compute, samples)
+      Some (req_id, compute, Lwe_array.to_samples (Lwe_array.read r))
     end
   with
   | exception Frame_closed -> declare_lost st pending w
@@ -642,7 +596,7 @@ let on_ready st pending w =
     match List.find_opt (fun q -> q.owner == w && q.req_id = req_id) !pending with
     | None -> () (* stale reply from a superseded request: drop *)
     | Some sh ->
-      if Array.length samples <> Array.length sh.items then resend_corrupt sh
+      if Array.length samples <> Array.length sh.dsts then resend_corrupt sh
       else begin
         Array.iteri (fun i dst -> st.put dst samples.(i)) sh.dsts;
         let now = Unix.gettimeofday () in
@@ -651,83 +605,98 @@ let on_ready st pending w =
         pending := List.filter (fun q -> q != sh) !pending
       end)
 
-let shards_of items dsts k =
-  let width = Array.length items in
-  let k = max 1 (min k width) in
+(* Cut one wave's rotation units into [k] contiguous shards and serialize
+   each: a unit is one gate, one arity-1 cell or one multi-input group with
+   all its tables, so a group is never split across shards. *)
+let shards_of ~n tasks gates cells k =
+  let g = Array.length gates in
+  let units = g + Array.length cells in
+  let k = max 1 (min k units) in
   Array.init k (fun d ->
-      let lo = d * width / k and hi = (d + 1) * width / k in
-      (Array.sub items lo (hi - lo), Array.sub dsts lo (hi - lo)))
+      let lo = d * units / k and hi = (d + 1) * units / k in
+      let gs = Array.sub gates (min lo g) (min hi g - min lo g) in
+      let cs = Array.sub cells (max lo g - g) (max hi g - max lo g) in
+      let buf = Buffer.create 4096 in
+      write_shard buf ~n tasks gs cs;
+      let dsts =
+        gs
+        :: List.map
+             (function
+               | Stream_exec.C_sign { idx; _ } -> [| idx |]
+               | Stream_exec.C_group c -> Array.of_list (List.rev c.idxs))
+             (Array.to_list cs)
+      in
+      (Buffer.contents buf, Array.concat dsts))
 
-(* Fan one wave's items out over the live workers and run the select loop
-   until every shard has been answered (results land through [st.put]). *)
-let dispatch st wave_items wave_dsts =
-  if Array.length wave_items > 0 then begin
-    let live = live_workers st in
-    if live = [] then raise All_workers_lost;
-    let chunks = shards_of wave_items wave_dsts (List.length live) in
-    let owners = Array.of_list live in
-    let pending = ref [] in
-    Array.iteri
-      (fun d (items, dsts) ->
-        let sh =
-          { items; dsts; owner = owners.(d); req_id = 0; deadline = infinity;
-            attempts = 0; sent_at = 0.0 }
-        in
-        pending := sh :: !pending)
-      chunks;
-    (* Initial sends, tolerating workers that died since the last wave.
-       declare_lost may already have re-sent a shard through reassignment,
-       so only shards still carrying req_id = 0 go out here. *)
-    List.iter
-      (fun sh ->
-        if sh.req_id = 0 then
-          try send_shard st sh
-          with Frame_closed -> declare_lost st pending sh.owner)
-      !pending;
-    while !pending <> [] do
-      let now = Unix.gettimeofday () in
-      List.iter (fun sh -> if now >= sh.deadline then on_timeout st pending sh) !pending;
-      if !pending <> [] then begin
-        let fds =
-          List.sort_uniq compare (List.map (fun sh -> sh.owner.fd) !pending)
-        in
-        let next_deadline =
-          List.fold_left (fun acc sh -> Float.min acc sh.deadline) infinity !pending
-        in
-        let tmo =
-          Float.max 0.005
-            (Float.min st.cfg.heartbeat_interval (next_deadline -. Unix.gettimeofday ()))
-        in
-        match Unix.select fds [] [] tmo with
-        | [], _, _ ->
-          (* heartbeat: catch crashed workers early, before their deadline *)
-          List.iter
-            (fun sh ->
-              if sh.owner.alive && not (process_running sh.owner) then begin
-                st.heartbeat_misses <- st.heartbeat_misses + 1;
-                declare_lost st pending sh.owner
-              end)
-            !pending
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun sh -> sh.owner.fd = fd && sh.owner.alive) !pending with
-              | Some sh -> on_ready st pending sh.owner
-              | None -> ())
-            ready
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-          (* a descriptor died under select: sweep for dead owners *)
-          List.iter
-            (fun sh ->
-              if sh.owner.alive && not (process_running sh.owner) then begin
-                st.heartbeat_misses <- st.heartbeat_misses + 1;
-                declare_lost st pending sh.owner
-              end)
-            !pending
-      end
-    done
-  end
+(* Fan one wave out over the live workers ([cut] shards it for the live
+   count) and run the select loop until every shard has been answered
+   (results land through [st.put]). *)
+let dispatch st cut =
+  let live = live_workers st in
+  if live = [] then raise All_workers_lost;
+  let owners = Array.of_list live in
+  let pending = ref [] in
+  Array.iteri
+    (fun d (body, dsts) ->
+      let sh =
+        { body; dsts; owner = owners.(d); req_id = 0; deadline = infinity; attempts = 0;
+          sent_at = 0.0 }
+      in
+      pending := sh :: !pending)
+    (cut (Array.length owners));
+  (* Initial sends, tolerating workers that died since the last wave.
+     declare_lost may already have re-sent a shard through reassignment,
+     so only shards still carrying req_id = 0 go out here. *)
+  List.iter
+    (fun sh ->
+      if sh.req_id = 0 then
+        try send_shard st sh
+        with Frame_closed -> declare_lost st pending sh.owner)
+    !pending;
+  while !pending <> [] do
+    let now = Unix.gettimeofday () in
+    List.iter (fun sh -> if now >= sh.deadline then on_timeout st pending sh) !pending;
+    if !pending <> [] then begin
+      let fds =
+        List.sort_uniq compare (List.map (fun sh -> sh.owner.fd) !pending)
+      in
+      let next_deadline =
+        List.fold_left (fun acc sh -> Float.min acc sh.deadline) infinity !pending
+      in
+      let tmo =
+        Float.max 0.005
+          (Float.min st.cfg.heartbeat_interval (next_deadline -. Unix.gettimeofday ()))
+      in
+      match Unix.select fds [] [] tmo with
+      | [], _, _ ->
+        (* heartbeat: catch crashed workers early, before their deadline *)
+        List.iter
+          (fun sh ->
+            if sh.owner.alive && not (process_running sh.owner) then begin
+              st.heartbeat_misses <- st.heartbeat_misses + 1;
+              declare_lost st pending sh.owner
+            end)
+          !pending
+      | ready, _, _ ->
+        List.iter
+          (fun fd ->
+            match List.find_opt (fun sh -> sh.owner.fd = fd && sh.owner.alive) !pending with
+            | Some sh -> on_ready st pending sh.owner
+            | None -> ())
+          ready
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (Unix.EBADF, _, _) ->
+        (* a descriptor died under select: sweep for dead owners *)
+        List.iter
+          (fun sh ->
+            if sh.owner.alive && not (process_running sh.owner) then begin
+              st.heartbeat_misses <- st.heartbeat_misses + 1;
+              declare_lost st pending sh.owner
+            end)
+          !pending
+    end
+  done
+
 
 let shutdown members =
   Array.iter
@@ -786,7 +755,6 @@ let session_start ?(obs = Trace.null) cfg cloud =
   let st =
     {
       cfg;
-      lwe_n = cloud.Gates.cloud_params.Params.lwe.Params.n;
       put = (fun _ _ -> ());
       members;
       obs;
@@ -859,11 +827,10 @@ let session_shutdown s =
   shutdown s.s_members;
   s.s_restore ()
 
-(* Each wave's resolved-operand tasks convert directly into shard items —
-   the DREQ wire format always carried resolved ciphertexts, so workers
-   stay program-free.  Fault tolerance (deadlines, retries, reassignment,
-   heartbeats) is the [dispatch] loop above.  Workers do not share LUT
-   rotations across cells, so every task is one rotation. *)
+(* Each wave splits into its rotation units, which ship with their
+   operands already resolved, so workers stay program-free.  Fault
+   tolerance (deadlines, retries, reassignment, heartbeats) is the
+   [dispatch] loop above. *)
 let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
   Exec_opts.check_scalar_only ~who:"Dist_eval.run_stream" opts;
   let obs = opts.Exec_opts.obs in
@@ -872,26 +839,18 @@ let run_stream ?(opts = Exec_opts.default) ?window cfg cloud read inputs =
   Fun.protect
     ~finally:(fun () -> session_shutdown session)
     (fun () ->
+      let n = cloud.Gates.cloud_params.Params.lwe.Params.n in
       let run_wave tasks =
-        let total = Array.length tasks in
-        let items =
-          Array.map
-            (function
-              | Stream_exec.T_gate { gate; a; b } ->
-                S_gate { code = Gate.to_code gate; a; b }
-              | Stream_exec.T_lut { arity; table; operands; _ } ->
-                S_lut { arity; table; ops = operands })
-            tasks
-        in
-        let out = Array.make total None in
+        let gates, cells = Stream_exec.split_wave tasks in
+        let out = Array.make (Array.length tasks) None in
         st.put <- (fun i v -> out.(i) <- Some v);
         let out0 = st.bytes_out and in0 = st.bytes_in in
         let retries0 = st.retries and reassign0 = st.reassignments in
         let corrupt0 = st.corrupt_frames and hb0 = st.heartbeat_misses in
-        dispatch st items (Array.init total Fun.id);
+        dispatch st (shards_of ~n tasks gates cells);
         {
-          Stream_exec.results = Array.map (function Some v -> v | None -> assert false) out;
-          rotations = total;
+          Stream_exec.results = Array.map Option.get out;
+          rotations = Array.length gates + Array.length cells;
           counters =
             [
               ("bytes_to_workers", st.bytes_out - out0);

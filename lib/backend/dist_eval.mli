@@ -5,7 +5,8 @@
     on shared-memory domains.  This executor crosses the process boundary
     for real: it spawns [workers] OS processes, ships the cloud keyset to
     each once at startup, and drives the wave schedule by sending
-    per-wave gate shards — gate opcodes plus input ciphertexts, serialized
+    per-wave shards of rotation units — opcodes and truth tables plus input
+    ciphertexts, serialized
     through {!Pytfhe_util.Wire} inside length-prefixed frames over
     [Unix.socketpair] channels — and collecting result ciphertexts at a
     wave barrier.
@@ -76,11 +77,11 @@ type config = {
   heartbeat_interval : float;  (** Liveness-poll period while waiting. *)
   faults : fault list;  (** Fault-injection schedule (tests only). *)
 }
-(** Shards of classic gates travel as struct-of-arrays [DRQ2]/[DRP2]
-    frames (gate codes plus two flat {!Pytfhe_tfhe.Lwe_array} operand
-    waves, evaluated through the worker's row-batched kernels); shards
-    carrying LUT cells as per-record [DREQ]/[DREP] frames.  Both are
-    ciphertext-bit-exact. *)
+(** A shard is a contiguous run of one wave's rotation units (a gate, an
+    arity-1 cell, or a multi-input group with all its tables) in one
+    [DRQ2]/[DRP2] frame pair, with the operands as one flat
+    {!Pytfhe_tfhe.Lwe_array}; workers run it through the batched wave
+    runners. *)
 
 val config :
   ?request_timeout:float ->
@@ -133,9 +134,11 @@ val run_stream :
   Pytfhe_tfhe.Lwe.sample array * stats
 (** [run_stream cfg cloud read inputs] forks [cfg.workers] processes and
     executes the assembled binary pulled from [read] through
-    {!Stream_exec.run_waves}: each wave's resolved-operand tasks convert
-    directly into shard requests, so the coordinator never materialises a
-    program graph and workers stay oblivious to it.  Outputs follow the
+    {!Stream_exec.run_waves}: each wave's rotation units
+    ({!Stream_exec.split_wave}) ship with their operands resolved, so the
+    coordinator never materialises a program graph and workers stay
+    oblivious to it.  [bootstraps_executed] counts rotation units, as on
+    the sequential executor.  Outputs follow the
     output-instruction order and are ciphertext-bit-exact with the
     sequential executor for any worker count and any [window].  Raises
     [Invalid_argument] on input arity mismatch and [Failure] if every

@@ -130,12 +130,12 @@ let run_source ?obs ops read = run_insts ?obs ops (Binary.iter_source read)
 
 (* --- Segmented wave driver ------------------------------------------------
 
-   The one way an encrypted program runs on the cpu, par and dist backends:
-   instructions are consumed as they arrive, but bootstrapped work is
-   queued by wave (level = 1 + max operand level within the current
-   segment) and handed to a backend [run_wave] callback one wave at a time,
-   so batching/parallel backends see the same wave structure a levelized
-   netlist would give them.  Once the queued bootstrap count reaches
+   The one way an encrypted program runs on the cpu, par and dist backends
+   and in the service: instructions are consumed as they arrive, but
+   bootstrapped work is queued by wave (level = 1 + max operand level
+   within the current segment) and handed to a backend [run_wave] callback
+   one wave at a time, so batching/parallel backends see the same wave
+   structure a levelized netlist would give them.  Once the queued bootstrap count reaches
    [window], the segment is flushed level by level — peak queued work stays
    bounded no matter how large the stream is; with an unbounded window the
    waves are exactly [Levelize.waves].

@@ -8,8 +8,8 @@
     - {!run} / {!run_encrypted}: one in-order pass over any value domain —
       the plaintext and scalar-ciphertext references;
     - {!run_waves}: the segmented wave driver every encrypted backend
-      (cpu, par, dist) executes programs through, with the sequential
-      backend's runner {!run_encrypted_stream}.
+      (cpu, par, dist, and the service) executes programs through, with
+      the sequential backend's runner {!run_encrypted_stream}.
 
     No netlist is materialised either way, so memory is one value per
     instruction. *)

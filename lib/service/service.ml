@@ -14,12 +14,16 @@
      registers a *cloud* keyset under a client id (the secret keyset never
      crosses the wire), SSES opens a session whose params + transform tag
      must match the registered keyset, SREQ executes under a session.
+   - Every request runs on the wave driver every executor uses
+     (Stream_exec.run_waves over the submitted binary).  Its wave callback
+     performs the [Wave] effect, so the request suspends at each wave that
+     has classic gates and resumes once launches have drained them.
    - Cross-request packing is per tenant: ciphertexts under different
      keys can never share a launch.  Within a tenant the scheduler takes
      ready gates from requests in admission order until the batch
-     capacity is filled; per gate the combine → bootstrap → key-switch
-     sequence is identical to the batched wave runner's, so replies are
-     ciphertext-bit-exact with a per-tenant Server.run.
+     capacity is filled and launches them through the batched gate
+     runner, so replies are ciphertext-bit-exact with a per-tenant
+     Server.run.
    - Failure isolation: a frame whose payload fails validation draws an
      SERR on that connection and nothing else; a connection dying takes
      its own sessions and in-flight requests with it; evicting a keyset
@@ -29,11 +33,9 @@ module Wire = Pytfhe_util.Wire
 module Trace = Pytfhe_obs.Trace
 module Quantile = Pytfhe_obs.Quantile
 module Netlist = Pytfhe_circuit.Netlist
-module Gate = Pytfhe_circuit.Gate
-module Levelize = Pytfhe_circuit.Levelize
+module Binary = Pytfhe_circuit.Binary
 module Framing = Pytfhe_backend.Framing
 module Dist_eval = Pytfhe_backend.Dist_eval
-module Tfhe_eval = Pytfhe_backend.Tfhe_eval
 module Stream_exec = Pytfhe_backend.Stream_exec
 module Executor = Pytfhe_backend.Executor
 module Exec_opts = Pytfhe_backend.Exec_opts
@@ -218,30 +220,38 @@ type conn = {
 
 type session = { s_client : string; s_generation : int; s_conn : conn }
 
+(* A request's wave driver performs [Wave] for every wave; the scheduler
+   answers it with the wave's results. *)
+type _ Effect.t += Wave : Stream_exec.task array -> Stream_exec.wave_result Effect.t
+
+type outcome = Lwe.sample array * Stream_exec.wave_stats
+
+(* A request suspended in [run_waves], waiting for a wave's results. *)
+type suspension = (Stream_exec.wave_result, outcome) Effect.Shallow.continuation
+
+(* A request suspended on a wave with classic gates still to launch. *)
+type parked = {
+  p_tasks : Stream_exec.task array;
+  p_out : Lwe.sample option array;
+  mutable p_frontier : int list;  (* task positions of the unlaunched classic gates *)
+  p_rotations : int;
+  p_k : suspension;
+}
+
 type request = {
   rq_id : int;
   rq_conn : conn;
   rq_client : string;
   rq_generation : int;
   rq_compiled : Pipeline.compiled;
-  rq_waves : Levelize.wave array;
-  rq_values : Lwe.sample option array;
   rq_inputs : Lwe.sample array;
-  mutable rq_wave : int;
-  mutable rq_classic : Netlist.id list;  (* unexecuted classic gates of the current wave *)
+  mutable rq_parked : parked option;
   rq_submitted : float;
   mutable rq_started : float;
-  mutable rq_bootstraps : int;
   mutable rq_done : bool;
 }
 
-type tenant = {
-  t_ck : Gates.cloud_keyset;
-  t_n : int;
-  t_cap : int;
-  t_bc : Gates.batch_context;
-  t_staging : Lwe_array.t;
-}
+type tenant = { t_ck : Gates.cloud_keyset; t_n : int; t_bc : Gates.batch_context }
 
 type state = {
   cfg : config;
@@ -351,31 +361,11 @@ let tenant_state st client generation ck =
   | None ->
     let p = ck.Gates.cloud_params in
     Params.precompute p;
-    let n = p.Params.lwe.Params.n in
-    let cap = st.cap in
-    let t =
-      {
-        t_ck = ck;
-        t_n = n;
-        t_cap = cap;
-        t_bc = Gates.batch_context ck ~cap;
-        t_staging = Lwe_array.create ~n cap;
-      }
-    in
+    let t = { t_ck = ck; t_n = p.Params.lwe.Params.n; t_bc = Gates.batch_context ck ~cap:st.cap } in
     Hashtbl.replace st.tenants key t;
     t
 
-(* LUT cells hold lutdom-encoded values; classic consumers read them
-   through the free lutdom → classic view. *)
-let classic_view rq id =
-  let v = Option.get rq.rq_values.(id) in
-  if Netlist.is_lut rq.rq_compiled.Pipeline.netlist id then Gates.lut_to_classic v else v
-
-let finish st rq =
-  let net = rq.rq_compiled.Pipeline.netlist in
-  let outputs =
-    Netlist.outputs net |> List.map (fun (_, id) -> classic_view rq id) |> Array.of_list
-  in
+let finish st rq outputs bootstraps =
   let now = Unix.gettimeofday () in
   rq.rq_done <- true;
   st.c_completed <- st.c_completed + 1;
@@ -385,7 +375,7 @@ let finish st rq =
   Wire.write_i64 buf rq.rq_id;
   Wire.write_f64 buf (rq.rq_started -. rq.rq_submitted);
   Wire.write_f64 buf (now -. rq.rq_started);
-  Wire.write_i64 buf rq.rq_bootstraps;
+  Wire.write_i64 buf bootstraps;
   Wire.write_array buf Lwe.write_sample outputs;
   send_frame st rq.rq_conn ~tenant:rq.rq_client (Buffer.to_bytes buf)
 
@@ -397,57 +387,48 @@ let fail_request st rq code message =
       send_err st rq.rq_conn ~tenant:rq.rq_client ~req:rq.rq_id code message
   end
 
-(* Load the current wave: run its LUT cells immediately (per-request,
-   batched through the tenant's context) and expose its classic gates to
-   the cross-request packing frontier. *)
-let load_wave st t rq =
-  let net = rq.rq_compiled.Pipeline.netlist in
-  let wave = rq.rq_waves.(rq.rq_wave) in
-  let luts, classic = List.partition (Netlist.is_lut net) (Array.to_list wave.Levelize.parallel) in
-  if luts <> [] then begin
-    let luts = Array.of_list luts in
-    let tasks =
-      Array.map
-        (fun id ->
-          match Netlist.kind net id with
-          | Netlist.Lut { table; ins } ->
-            let arity = Array.length ins in
-            let operands =
-              if arity = 1 then [| classic_view rq ins.(0) |]
-              else Array.map (fun a -> Option.get rq.rq_values.(a)) ins
-            in
-            Stream_exec.T_lut { arity; table; operands; ins }
-          | _ -> assert false)
-        luts
-    in
-    let _, cells = Stream_exec.split_wave tasks in
-    let out = Array.make (Array.length tasks) None in
-    Stream_exec.run_cells_batched t.t_bc ~batch:t.t_cap ~n:t.t_n cells out;
-    Array.iteri (fun i id -> rq.rq_values.(id) <- out.(i)) luts;
-    let rots = Array.length cells in
-    rq.rq_bootstraps <- rq.rq_bootstraps + rots;
-    st.c_lut_rotations <- st.c_lut_rotations + rots
-  end;
-  rq.rq_classic <- classic
+type step =
+  | Finished of outcome
+  | Raised of exn
+  | Suspended of Stream_exec.task array * suspension
 
-(* Called whenever the current wave's classic gates are exhausted: run the
-   wave's inline NOTs, move on, and keep going through waves that carry no
-   classic gates (pure-LUT or pure-NOT waves execute right here). *)
-let rec advance st t rq =
-  let net = rq.rq_compiled.Pipeline.netlist in
-  Array.iter
-    (fun id ->
-      match Netlist.kind net id with
-      | Netlist.Gate (g, a, _) when Gate.is_unary g ->
-        rq.rq_values.(id) <- Some (Lwe.neg (classic_view rq a))
-      | _ -> assert false)
-    rq.rq_waves.(rq.rq_wave).Levelize.inline;
-  rq.rq_wave <- rq.rq_wave + 1;
-  if rq.rq_wave >= Array.length rq.rq_waves then finish st rq
-  else begin
-    load_wave st t rq;
-    if rq.rq_classic = [] then advance st t rq
-  end
+let handler : (outcome, step) Effect.Shallow.handler =
+  {
+    retc = (fun r -> Finished r);
+    exnc = (fun e -> Raised e);
+    effc =
+      (fun (type c) (eff : c Effect.t) ->
+        match eff with
+        | Wave tasks ->
+          Some (fun (k : (c, outcome) Effect.Shallow.continuation) -> Suspended (tasks, k))
+        | _ -> None);
+  }
+
+let resume k out rotations =
+  Effect.Shallow.continue_with k
+    { Stream_exec.results = Array.map Option.get out; rotations; counters = [] }
+    handler
+
+(* Drive a request until it finishes or parks on a wave with classic
+   gates: the wave's LUT cells run at once through the tenant's batch
+   context, its classic gates join the tenant's packing frontier. *)
+let rec settle st t rq = function
+  | Finished (outputs, ws) -> finish st rq outputs ws.Stream_exec.bootstraps_run
+  | Raised (Failure msg | Invalid_argument msg | Wire.Corrupt msg) ->
+    fail_request st rq Internal msg
+  | Raised e -> raise e
+  | Suspended (tasks, k) ->
+    let gates, cells = Stream_exec.split_wave tasks in
+    let out = Array.make (Array.length tasks) None in
+    Stream_exec.run_cells_batched t.t_bc ~batch:st.cap ~n:t.t_n cells out;
+    st.c_lut_rotations <- st.c_lut_rotations + Array.length cells;
+    let rotations = Array.length gates + Array.length cells in
+    if gates = [||] then settle st t rq (resume k out rotations)
+    else
+      rq.rq_parked <-
+        Some
+          { p_tasks = tasks; p_out = out; p_frontier = Array.to_list gates; p_rotations = rotations;
+            p_k = k }
 
 let admit st rq =
   st.c_admitted <- st.c_admitted + 1;
@@ -457,24 +438,26 @@ let admit st rq =
   | Some e when e.Keyring.generation <> rq.rq_generation ->
     fail_request st rq Unknown "keyset re-registered; reopen the session"
   | Some e -> (
-    let net = rq.rq_compiled.Pipeline.netlist in
-    let input_list = Netlist.inputs net in
-    List.iteri (fun i (_, id) -> rq.rq_values.(id) <- Some rq.rq_inputs.(i)) input_list;
     match st.cfg.backend with
     | Server.Cpu ->
       let t = tenant_state st rq.rq_client rq.rq_generation e.Keyring.keyset in
-      for id = 0 to Netlist.node_count net - 1 do
-        match Netlist.kind net id with
-        | Netlist.Const b -> rq.rq_values.(id) <- Some (Gates.constant t.t_ck b)
-        | _ -> ()
-      done;
       st.active <- st.active @ [ rq ];
-      if Array.length rq.rq_waves = 0 then finish st rq
-      else begin
-        rq.rq_wave <- 0;
-        load_wave st t rq;
-        if rq.rq_classic = [] then advance st t rq
-      end
+      let probe =
+        {
+          Stream_exec.track = "service";
+          params = t.t_ck.Gates.cloud_params;
+          remote_crypto = false;
+          batch = None;
+        }
+      in
+      let fiber =
+        Effect.Shallow.fiber (fun () ->
+            Stream_exec.run_waves ~window:max_int probe
+              ~run_wave:(fun tasks -> Effect.perform (Wave tasks))
+              (Binary.source_of_bytes rq.rq_compiled.Pipeline.binary)
+              rq.rq_inputs)
+      in
+      settle st t rq (Effect.Shallow.continue_with fiber () handler)
     | backend -> (
       (* Pass-through mode: no cross-request packing; each request runs
          whole through the selected executor, in admission order. *)
@@ -482,19 +465,7 @@ let admit st rq =
         let outputs, es =
           Server.run ~opts:st.opts backend e.Keyring.keyset rq.rq_compiled rq.rq_inputs
         in
-        rq.rq_bootstraps <- es.Executor.bootstraps_executed;
-        rq.rq_done <- true;
-        st.c_completed <- st.c_completed + 1;
-        let now = Unix.gettimeofday () in
-        st.latencies <- (now -. rq.rq_submitted) :: st.latencies;
-        let buf = Buffer.create 4096 in
-        Wire.write_magic buf "SREP";
-        Wire.write_i64 buf rq.rq_id;
-        Wire.write_f64 buf (rq.rq_started -. rq.rq_submitted);
-        Wire.write_f64 buf (now -. rq.rq_started);
-        Wire.write_i64 buf rq.rq_bootstraps;
-        Wire.write_array buf Lwe.write_sample outputs;
-        send_frame st rq.rq_conn ~tenant:rq.rq_client (Buffer.to_bytes buf)
+        finish st rq outputs es.Executor.bootstraps_executed
       with Failure msg | Invalid_argument msg -> fail_request st rq Internal msg))
 
 let prune_active st = st.active <- List.filter (fun rq -> not rq.rq_done) st.active
@@ -505,13 +476,15 @@ let admit_waiting st =
   done;
   prune_active st
 
+let runnable rq =
+  (not rq.rq_done) && match rq.rq_parked with Some p -> p.p_frontier <> [] | None -> false
+
 (* One batched bootstrap launch: pick the tenant owning the oldest ready
    request, fill up to [cap] ready gates from that tenant's requests in
-   admission order, execute them as one launch, then advance every request
+   admission order, execute them as one launch, then resume every request
    whose wave drained. *)
 let launch_one st =
-  let ready rq = (not rq.rq_done) && rq.rq_classic <> [] in
-  match List.find_opt ready st.active with
+  match List.find_opt runnable st.active with
   | None -> false
   | Some first ->
     let client = first.rq_client and generation = first.rq_generation in
@@ -523,41 +496,33 @@ let launch_one st =
     let jobs = ref [] and budget = ref st.cap in
     List.iter
       (fun rq ->
-        if ready rq && rq.rq_client = client && rq.rq_generation = generation then
-          while !budget > 0 && rq.rq_classic <> [] do
-            (match rq.rq_classic with
-            | id :: rest ->
-              jobs := (rq, id) :: !jobs;
-              rq.rq_classic <- rest
+        match rq.rq_parked with
+        | Some p when runnable rq && rq.rq_client = client && rq.rq_generation = generation ->
+          while !budget > 0 && p.p_frontier <> [] do
+            (match p.p_frontier with
+            | i :: rest ->
+              jobs := (rq, p, i) :: !jobs;
+              p.p_frontier <- rest
             | [] -> assert false);
             decr budget
-          done)
+          done
+        | _ -> ())
       st.active;
     let jobs = Array.of_list (List.rev !jobs) in
     let len = Array.length jobs in
-    let combined =
-      Array.map
-        (fun (rq, id) ->
-          match Netlist.kind rq.rq_compiled.Pipeline.netlist id with
-          | Netlist.Gate (g, a, b) ->
-            Gates.combine ~n:t.t_n (Tfhe_eval.plan_of g) (classic_view rq a)
-              (classic_view rq b)
-          | _ -> assert false)
-        jobs
-    in
-    Array.iteri (fun i s -> Lwe_array.set t.t_staging i s) combined;
-    let rows = Gates.bootstrap_batch_rows t.t_bc (Lwe_array.slice t.t_staging ~pos:0 ~len) in
-    let outs = Array.init len (Lwe_array.get rows) in
-    Array.iteri
-      (fun i (rq, id) ->
-        rq.rq_values.(id) <- Some outs.(i);
-        rq.rq_bootstraps <- rq.rq_bootstraps + 1)
-      jobs;
+    let tasks = Array.map (fun (_, p, i) -> p.p_tasks.(i)) jobs in
+    let out = Array.make len None in
+    Stream_exec.run_gates_batched t.t_bc ~batch:st.cap ~n:t.t_n tasks (Array.init len Fun.id) out;
+    Array.iteri (fun j (_, p, i) -> p.p_out.(i) <- out.(j)) jobs;
     st.c_launches <- st.c_launches + 1;
     st.c_gates <- st.c_gates + len;
-    (* Advance each distinct request that drained its wave. *)
     Array.iter
-      (fun (rq, _) -> if (not rq.rq_done) && rq.rq_classic = [] then advance st t rq)
+      (fun (rq, p, _) ->
+        match rq.rq_parked with
+        | Some q when q == p && p.p_frontier = [] && not rq.rq_done ->
+          rq.rq_parked <- None;
+          settle st t rq (resume p.p_k p.p_out p.p_rotations)
+        | _ -> ())
       jobs;
     prune_active st;
     if Trace.enabled st.opts.Exec_opts.obs then begin
@@ -699,12 +664,11 @@ let handle_frame st conn payload =
         let compiled =
           Pipeline.of_binary ~max_bytes:st.cfg.max_program_bytes ~name (Bytes.of_string program)
         in
-        let net = compiled.Pipeline.netlist in
-        if List.length (Netlist.inputs net) <> Array.length inputs then
+        let expected = Netlist.input_count compiled.Pipeline.netlist in
+        if expected <> Array.length inputs then
           raise
             (Wire.Corrupt
-               (Printf.sprintf "Service: program %s expects %d inputs, got %d" name
-                  (List.length (Netlist.inputs net))
+               (Printf.sprintf "Service: program %s expects %d inputs, got %d" name expected
                   (Array.length inputs)));
         if Queue.length st.queue >= st.cfg.max_queue then
           send_err st conn ~tenant:s.s_client ~req Busy "admission queue full"
@@ -716,14 +680,10 @@ let handle_frame st conn payload =
               rq_client = s.s_client;
               rq_generation = s.s_generation;
               rq_compiled = compiled;
-              rq_waves = Levelize.waves compiled.Pipeline.schedule net;
-              rq_values = Array.make (Netlist.node_count net) None;
               rq_inputs = inputs;
-              rq_wave = 0;
-              rq_classic = [];
+              rq_parked = None;
               rq_submitted = Unix.gettimeofday ();
               rq_started = 0.0;
-              rq_bootstraps = 0;
               rq_done = false;
             }
           in
@@ -856,7 +816,7 @@ let serve ?opts ?(config = default_config) ?(ready = fun _ -> ()) () =
   ready port;
   let rbuf = Bytes.create 65536 in
   let have_work () = st.active <> [] || not (Queue.is_empty st.queue) in
-  let have_ready () = List.exists (fun rq -> rq.rq_classic <> []) st.active in
+  let have_ready () = List.exists runnable st.active in
   while st.running || have_work () do
     (* 1. Poll sockets.  Zero timeout while compute is pending so arriving
        requests can join the next launch; block briefly when idle. *)

@@ -9,7 +9,7 @@
 
     The scheduler is the point of the exercise: independent ready gates from
     {e concurrent requests sharing a keyset} are packed into the same
-    batched/SoA bootstrap launch, so a stream of narrow circuits (the worst
+    batched bootstrap launch, so a stream of narrow circuits (the worst
     case for per-request batching: a serial chain exposes one ready gate at
     a time) still fills the batch kernel.  On serial-chain workloads a batch
     fill above 1.0 is only reachable by cross-request packing — the service
@@ -112,9 +112,10 @@ val serve :
 (** Run the server until a [SHUT] frame arrives, then drain remaining work
     and return final statistics.  [ready] is called with the bound port
     once the socket is listening (the hook a test or bench uses to learn
-    an ephemeral port before connecting).  [opts.batch] sets the packing
-    capacity (each launch stages its gates as {!Pytfhe_tfhe.Lwe_array}
-    rows through the row kernels); [opts.obs] receives
+    an ephemeral port before connecting).  Each request runs on
+    {!Pytfhe_backend.Stream_exec.run_waves}; [opts.batch] sets the packing
+    capacity (each launch goes through
+    {!Pytfhe_backend.Stream_exec.run_gates_batched}); [opts.obs] receives
     [service_queue_depth]/[service_batch_fill]/per-tenant byte counters.
 
     Raises [Invalid_argument] when [config.backend] is [Multiprocess] and

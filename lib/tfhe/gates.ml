@@ -132,6 +132,7 @@ let mux_gate ck s x y = mux_gate_in (default_context ck) s x y
 type batch_context = {
   bkeyset : cloud_keyset;
   bboot : Bootstrap.batch;
+  bstage : Lwe_array.t;  (* cap rows of combined (n) inputs *)
   bextract : Lwe_array.t;  (* cap rows of extracted (k·N) samples *)
   bout : Lwe_array.t;  (* cap rows of key-switched (n) outputs *)
   mutable ks_blocks : int;
@@ -144,6 +145,7 @@ let batch_context ck ~cap =
   {
     bkeyset = ck;
     bboot;
+    bstage = Lwe_array.create ~n:p.lwe.n cap;
     bextract = Lwe_array.create ~n:(Params.extracted_n p) cap;
     bout = Lwe_array.create ~n:p.lwe.n cap;
     ks_blocks = 0;
@@ -151,17 +153,6 @@ let batch_context ck ~cap =
   }
 
 let batch_capacity bc = Bootstrap.batch_capacity bc.bboot
-
-let bootstrap_batch bc (combined : Lwe.sample array) =
-  let p = bc.bkeyset.cloud_params in
-  let extracted = Bootstrap.batch_with p bc.bboot bc.bkeyset.bootstrap_key ~mu:(Params.mu p) combined in
-  if Array.length extracted = 0 then [||]
-  else begin
-    let out, blocks = Keyswitch.apply_batch bc.bkeyset.keyswitch_key extracted in
-    bc.ks_blocks <- bc.ks_blocks + blocks;
-    bc.ks_launches <- bc.ks_launches + 1;
-    out
-  end
 
 (* The SoA wave pipeline: combined phase rows in, key-switched output rows
    out, zero per-gate record materialization in between.  The returned
@@ -185,9 +176,14 @@ let bootstrap_batch_rows bc (src : Lwe_array.t) =
     out
   end
 
-let combine_rows_into plan ~a ~arow ~b ~brow ~dst ~drow =
-  Lwe_array.combine_into ~dst ~drow ~konst:plan.plan_const ~scale:plan.plan_scale
-    ~sign_a:plan.plan_sign_a ~a ~arow ~sign_b:plan.plan_sign_b ~b ~brow
+(* The record form of the row pipeline: stage the combined samples in the
+   context's own rows, launch, read the outputs back. *)
+let bootstrap_batch bc (combined : Lwe.sample array) =
+  let count = Array.length combined in
+  if count > batch_capacity bc then
+    invalid_arg "Gates.bootstrap_batch: batch larger than the workspace capacity";
+  Array.iteri (Lwe_array.set bc.bstage) combined;
+  Lwe_array.to_samples (bootstrap_batch_rows bc (Lwe_array.slice bc.bstage ~pos:0 ~len:count))
 
 type batch_counters = {
   batch_launches : int;  (** batched bootstrap kernel launches *)

@@ -143,32 +143,19 @@ val batch_context : cloud_keyset -> cap:int -> batch_context
 
 val batch_capacity : batch_context -> int
 
-val bootstrap_batch : batch_context -> Lwe.sample array -> Lwe.sample array
-(** Sign-bootstrap + key-switch every already-combined ciphertext of the
-    array (length ≤ capacity; a short final batch is fine).  Element [i] is
-    bit-identical to [bootstrap_in ctx arr.(i)]. *)
-
 val bootstrap_batch_rows : batch_context -> Lwe_array.t -> Lwe_array.t
-(** The struct-of-arrays {!bootstrap_batch}: sign-bootstrap + key-switch
-    every row of an already-combined {!Lwe_array} (length ≤ capacity)
-    through the row-batched kernels, with no per-gate record
-    materialization.  Row [i] of the result is bit-identical to
-    [bootstrap_in ctx] of row [i].  The returned array is a slice of the
-    context's own output scratch — valid until the next call on this
-    context; blit the rows out before relaunching. *)
+(** Sign-bootstrap + key-switch every row of an already-combined
+    {!Lwe_array} (length ≤ capacity; a short final batch is fine) through
+    the row-batched kernels, with no per-gate record materialization.  Row
+    [i] of the result is bit-identical to [bootstrap_in ctx] of row [i].
+    The returned array is a slice of the context's own output scratch —
+    valid until the next call on this context; blit the rows out before
+    relaunching. *)
 
-val combine_rows_into :
-  combine_plan ->
-  a:Lwe_array.t ->
-  arow:int ->
-  b:Lwe_array.t ->
-  brow:int ->
-  dst:Lwe_array.t ->
-  drow:int ->
-  unit
-(** The row form of {!combine}: build a gate's phase combination directly
-    into a destination row ({!Lwe_array.combine_into} with the plan's
-    constants), bit-identical to the record path. *)
+val bootstrap_batch : batch_context -> Lwe.sample array -> Lwe.sample array
+(** {!bootstrap_batch_rows} over records: the combined samples are staged
+    in the context's own rows and the outputs read back.  Element [i] is
+    bit-identical to [bootstrap_in ctx arr.(i)]. *)
 
 type batch_counters = {
   batch_launches : int;  (** batched bootstrap kernel launches *)

@@ -5,8 +5,7 @@
     body vector — the layout the batched kernels stream (key row resident,
     batch dimension unit-stride), nufhe's [LweSampleArray] model.  Torus
     elements are canonical 32-bit values, so the int32 cells round-trip
-    exactly and every row op below is ciphertext-bit-exact with the
-    corresponding {!Lwe.sample} op.
+    every {!Lwe.sample} exactly.
 
     The record is exposed so the kernels in {!Bootstrap}, {!Keyswitch} and
     {!Trlwe_array} can walk the flat buffers directly; treat the fields as
@@ -38,9 +37,6 @@ val set : t -> int -> Lwe.sample -> unit
 (** Store a record into row [r].  Raises [Invalid_argument] on a dimension
     mismatch or row out of bounds. *)
 
-val set_trivial : t -> int -> Torus.t -> unit
-(** Row [r] ← the noiseless trivial encryption (zero mask, body [mu]). *)
-
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Copy [len] whole rows; two flat Bigarray blits.  Raises
     [Invalid_argument] on dimension mismatch or out-of-bounds ranges. *)
@@ -54,36 +50,6 @@ val mask : t -> int -> int -> Torus.t
 
 val body : t -> int -> Torus.t
 (** [body t r] — unchecked hot-path read of row [r]'s body. *)
-
-(** {2 Allocation-free row ops}
-
-    All of these read every source element before writing the destination
-    element, so the destination row may alias either source row (same row
-    of the same array, or overlapping slices). *)
-
-val add_into : dst:t -> drow:int -> a:t -> arow:int -> b:t -> brow:int -> unit
-(** [dst.(drow) ← a.(arow) + b.(brow)], the row analogue of {!Lwe.add}. *)
-
-val sub_into : dst:t -> drow:int -> a:t -> arow:int -> b:t -> brow:int -> unit
-val scale_into : dst:t -> drow:int -> int -> src:t -> srow:int -> unit
-val neg_into : dst:t -> drow:int -> src:t -> srow:int -> unit
-
-val combine_into :
-  dst:t ->
-  drow:int ->
-  konst:Torus.t ->
-  scale:int ->
-  sign_a:int ->
-  a:t ->
-  arow:int ->
-  sign_b:int ->
-  b:t ->
-  brow:int ->
-  unit
-(** The fused gate phase combination
-    [dst.(drow) ← konst ± scale·a.(arow) ± scale·b.(brow)], reducing in the
-    same order as the scalar {!Gates.combine} so the result row is
-    bit-identical to the record path. *)
 
 val unsafe_get32 : Pytfhe_util.Wire.i32_buffer -> int -> Torus.t
 (** Unchecked canonical-torus read of one flat cell; allocation-free in

@@ -175,19 +175,3 @@ let extract_row_into t ~row (dst : Lwe_array.t) ~drow =
     done
   done;
   set32 dst.Lwe_array.bodies drow (Array.unsafe_get src (body_off t row))
-
-(* Record conversions for the test suite. *)
-
-let set_row t r (s : Tlwe.sample) =
-  check_row t r "Trlwe_array.set_row";
-  if Array.length s.Tlwe.mask <> t.k || Array.length s.Tlwe.body <> t.ring_n then
-    invalid_arg "Trlwe_array.set_row: shape mismatch";
-  for c = 0 to t.k do
-    let p = if c < t.k then s.Tlwe.mask.(c) else s.Tlwe.body in
-    Array.blit p 0 t.data (comp_off t r c) t.ring_n
-  done
-
-let get_row t r =
-  check_row t r "Trlwe_array.get_row";
-  let poly c = Array.sub t.data (comp_off t r c) t.ring_n in
-  { Tlwe.mask = Array.init t.k poly; body = poly t.k }

@@ -51,9 +51,3 @@ val add_ints_to : t -> row:int -> comp:int -> int array -> unit
 val extract_row_into : t -> row:int -> Lwe_array.t -> drow:int -> unit
 (** Sample-extract row [row] into row [drow] of an {!Lwe_array} of
     dimension k·N — {!Tlwe.extract_lwe} without the record detour. *)
-
-val set_row : t -> int -> Tlwe.sample -> unit
-(** Store a record accumulator into row [r] (tests). *)
-
-val get_row : t -> int -> Tlwe.sample
-(** Materialize row [r] as a record (tests; allocates). *)

@@ -115,3 +115,15 @@ let random ?(inputs = 4) ?(gates = 10) ?(outputs = 3) ~seed () =
     (fun i id -> if i < outputs then Netlist.mark_output net (Printf.sprintf "o%d" i) id)
     !nodes;
   net
+
+(* A pure-LUT netlist of two waves: three arity-1 cells (three rotation
+   units), then two cells over one operand tuple (one shared unit) plus a
+   cell over another (one unit) — six cells, five rotations. *)
+let lut_waves () =
+  let net = Netlist.create ~hash_consing:false ~fold_constants:false () in
+  let x = Array.init 3 (fun i -> Netlist.input net (Printf.sprintf "i%d" i)) in
+  let r = Array.map (fun v -> Netlist.lut net ~table:0b10 [| v |]) x in
+  List.iteri
+    (fun k (table, ins) -> Netlist.mark_output net (Printf.sprintf "o%d" k) (Netlist.lut net ~table ins))
+    [ (0b0110, [| r.(0); r.(1) |]); (0b1000, [| r.(0); r.(1) |]); (0b1110, [| r.(1); r.(2) |]) ];
+  net

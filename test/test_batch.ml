@@ -1,6 +1,7 @@
-(* The batched key-streaming execution path (Bootstrap.batch_with /
-   Keyswitch.apply_batch / Gates.bootstrap_batch / Gates.bootstrap_batch_rows
-   and the opts.batch knob on the executors).
+(* The batched key-streaming execution path: the one gate batch kernel
+   (Gates.bootstrap_batch_rows over Bootstrap.batch_rows_into, with
+   Gates.bootstrap_batch as its record form), the Lwe_array rows it runs
+   on, and the opts.batch knob on the executors.
 
    The contract under test is bit-exactness: the batched kernel reorders the
    *loop nest* (bootstrapping-key entry outermost, batch member innermost)
@@ -65,70 +66,6 @@ let test_lwe_array_roundtrip =
         s'.Lwe.a;
       Lwe_array.body t r = s'.Lwe.b)
 
-let test_lwe_array_row_ops =
-  QCheck.Test.make ~name:"lwe_array row ops bit-exact with Lwe record ops" ~count:50
-    QCheck.(triple (int_range 1 16) small_int (int_range ~-3 3))
-    (fun (n, seed, k) ->
-      let rng = Rng.create ~seed:(8000 + seed) () in
-      let wave = random_wave rng ~n 4 in
-      let t = Lwe_array.of_samples ~n wave in
-      let dst = Lwe_array.create ~n 4 in
-      Lwe_array.add_into ~dst ~drow:0 ~a:t ~arow:0 ~b:t ~brow:1;
-      if Lwe_array.get dst 0 <> Lwe.add wave.(0) wave.(1) then
-        QCheck.Test.fail_report "add_into differs";
-      Lwe_array.sub_into ~dst ~drow:1 ~a:t ~arow:2 ~b:t ~brow:3;
-      if Lwe_array.get dst 1 <> Lwe.sub wave.(2) wave.(3) then
-        QCheck.Test.fail_report "sub_into differs";
-      Lwe_array.scale_into ~dst ~drow:2 k ~src:t ~srow:1;
-      if Lwe_array.get dst 2 <> Lwe.scale k wave.(1) then
-        QCheck.Test.fail_report "scale_into differs";
-      Lwe_array.neg_into ~dst ~drow:3 ~src:t ~srow:0;
-      if Lwe_array.get dst 3 <> Lwe.neg wave.(0) then QCheck.Test.fail_report "neg_into differs";
-      (* The fused gate combine against the scalar reference, for every plan. *)
-      List.for_all
-        (fun plan ->
-          let reference = Gates.combine ~n plan wave.(0) wave.(1) in
-          Lwe_array.combine_into ~dst ~drow:0 ~konst:plan.Gates.plan_const
-            ~scale:plan.Gates.plan_scale ~sign_a:plan.Gates.plan_sign_a ~a:t ~arow:0
-            ~sign_b:plan.Gates.plan_sign_b ~b:t ~brow:1;
-          Lwe_array.get dst 0 = reference)
-        [
-          Gates.nand_plan;
-          Gates.and_plan;
-          Gates.or_plan;
-          Gates.nor_plan;
-          Gates.xor_plan;
-          Gates.xnor_plan;
-          Gates.andny_plan;
-          Gates.oryn_plan;
-        ])
-
-let test_lwe_array_aliasing =
-  QCheck.Test.make ~name:"lwe_array *_into safe when dst aliases sources" ~count:50
-    QCheck.(pair (int_range 1 16) small_int)
-    (fun (n, seed) ->
-      let rng = Rng.create ~seed:(8100 + seed) () in
-      let wave = random_wave rng ~n 3 in
-      (* dst row = a row: t.(0) <- t.(0) + t.(1). *)
-      let t = Lwe_array.of_samples ~n wave in
-      Lwe_array.add_into ~dst:t ~drow:0 ~a:t ~arow:0 ~b:t ~brow:1;
-      if Lwe_array.get t 0 <> Lwe.add wave.(0) wave.(1) then
-        QCheck.Test.fail_report "add_into onto own source row differs";
-      (* dst = both sources: t.(1) <- t.(1) - t.(1) through overlapping
-         slices of the same storage. *)
-      let s = Lwe_array.slice t ~pos:1 ~len:2 in
-      Lwe_array.sub_into ~dst:s ~drow:0 ~a:t ~arow:1 ~b:s ~brow:0;
-      if Lwe_array.get t 1 <> Lwe.sub wave.(1) wave.(1) then
-        QCheck.Test.fail_report "sub_into through overlapping slices differs";
-      (* In-place combine: dst row aliases input a. *)
-      let t2 = Lwe_array.of_samples ~n wave in
-      let plan = Gates.xor_plan in
-      let reference = Gates.combine ~n plan wave.(2) wave.(0) in
-      Lwe_array.combine_into ~dst:t2 ~drow:2 ~konst:plan.Gates.plan_const
-        ~scale:plan.Gates.plan_scale ~sign_a:plan.Gates.plan_sign_a ~a:t2 ~arow:2
-        ~sign_b:plan.Gates.plan_sign_b ~b:t2 ~brow:0;
-      Lwe_array.get t2 2 = reference)
-
 let test_lwe_array_slice_blit () =
   let rng = Rng.create ~seed:606 () in
   let n = 5 in
@@ -142,7 +79,7 @@ let test_lwe_array_slice_blit () =
   let fresh = random_sample rng ~n in
   Lwe_array.set s 1 fresh;
   Alcotest.(check bool) "write through slice visible in parent" true (Lwe_array.get t 3 = fresh);
-  Lwe_array.set_trivial t 2 12345;
+  Lwe_array.set t 2 (Lwe.trivial ~n 12345);
   Alcotest.(check bool) "write through parent visible in slice" true
     (Lwe_array.get s 0 = Lwe.trivial ~n 12345);
   (* Whole-row blit. *)
@@ -246,9 +183,9 @@ let test_bootstrap_batch_matches_scalar () =
        false
      with Invalid_argument _ -> true)
 
-(* The row kernel the service, the DRQ2 workers and the benchmark launch:
-   any count up to the capacity is bit-exact with per-gate bootstraps, a
-   count above it is refused. *)
+(* The gate batch kernel every batched runner launches: any count up to
+   the capacity is bit-exact with per-gate bootstraps, a count above it is
+   refused. *)
 let test_bootstrap_batch_rows =
   QCheck.Test.make ~name:"bootstrap_batch_rows = per-gate bootstrap_in, fft and ntt" ~count:4
     QCheck.(triple bool (int_range 2 5) small_int)
@@ -365,21 +302,9 @@ let test_key_traffic_drops_with_batch () =
   Alcotest.(check bool) "ks traffic drops too" true
     (st1.Tfhe_eval.ks_bytes_streamed > st8.Tfhe_eval.ks_bytes_streamed)
 
-(* A pure-LUT netlist of two waves: three arity-1 cells (three rotation
-   units), then two cells over one operand tuple (one shared unit) plus a
-   cell over another (one unit) — six cells, five rotations. *)
-let lut_waves () =
-  let net = Netlist.create ~hash_consing:false ~fold_constants:false () in
-  let x = Array.init 3 (fun i -> Netlist.input net (Printf.sprintf "i%d" i)) in
-  let r = Array.map (fun v -> Netlist.lut net ~table:0b10 [| v |]) x in
-  List.iteri
-    (fun k (table, ins) -> Netlist.mark_output net (Printf.sprintf "o%d" k) (Netlist.lut net ~table ins))
-    [ (0b0110, [| r.(0); r.(1) |]); (0b1000, [| r.(0); r.(1) |]); (0b1110, [| r.(1); r.(2) |]) ];
-  net
-
 let test_lut_rotation_counts () =
   let sk, ck = Lazy.force keys in
-  let net = lut_waves () in
+  let net = Gen_circuit.lut_waves () in
   let rng = Rng.create ~seed:406 () in
   let ins = Array.init 3 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
@@ -400,7 +325,7 @@ let test_lut_rotation_counts () =
    twice (1 + 1). *)
 let test_par_batches_lut_cells () =
   let sk, ck = Lazy.force keys in
-  let net = lut_waves () in
+  let net = Gen_circuit.lut_waves () in
   let rng = Rng.create ~seed:407 () in
   let ins = Array.init 3 (fun _ -> Rng.bool rng) in
   let cts = Array.map (Gates.encrypt_bit rng sk) ins in
@@ -441,8 +366,6 @@ let () =
       ( "lwe_array",
         [
           QCheck_alcotest.to_alcotest test_lwe_array_roundtrip;
-          QCheck_alcotest.to_alcotest test_lwe_array_row_ops;
-          QCheck_alcotest.to_alcotest test_lwe_array_aliasing;
           Alcotest.test_case "slice and blit" `Quick test_lwe_array_slice_blit;
           Alcotest.test_case "wire roundtrip and rejection" `Quick test_lwe_array_wire;
         ] );

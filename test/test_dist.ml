@@ -120,6 +120,26 @@ let test_dist_stats_and_validation () =
     (try ignore (Run_net.dist (Dist_eval.config 2) ck net (Array.sub cts 0 2)); false
      with Invalid_argument _ -> true)
 
+(* Shards are cut at rotation units, so the two cells over one operand
+   tuple share one rotation on a worker just as on cpu and par: six cells,
+   five rotations, for any worker count. *)
+let test_dist_lut_rotations () =
+  let sk, ck = Lazy.force keys in
+  let net = Gen_circuit.lut_waves () in
+  let rng = Rng.create ~seed:406 () in
+  let cts = Array.map (Gates.encrypt_bit rng sk) (random_bits rng 3) in
+  let seq_out = reference ck net cts in
+  List.iter
+    (fun workers ->
+      let outs, st = Run_net.dist (Dist_eval.config workers) ck net cts in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d workers bit-exact with the in-order reference" workers)
+        true (outs = seq_out);
+      Alcotest.(check int)
+        (Printf.sprintf "%d workers count the shared rotation once" workers)
+        5 st.Dist_eval.bootstraps_executed)
+    [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -264,6 +284,7 @@ let () =
           QCheck_alcotest.to_alcotest test_cross_backend;
           QCheck_alcotest.to_alcotest test_cross_backend_lut;
           Alcotest.test_case "stats and validation" `Slow test_dist_stats_and_validation;
+          Alcotest.test_case "LUT rotation units shared" `Slow test_dist_lut_rotations;
         ] );
       ( "faults",
         [

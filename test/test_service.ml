@@ -132,6 +132,68 @@ let test_multi_tenant_bit_exact () =
     && Array.for_all (fun t -> t.Service.bytes_in > 0 && t.Service.bytes_out > 0) stats.Service.tenants)
 
 (* ------------------------------------------------------------------ *)
+(* LUT programs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The two-wave LUT netlist (six cells, five rotation units, one of them a
+   two-table group) followed by a classic gate over two LUT outputs, so
+   each request runs its LUT waves at once and then parks on a packed
+   launch. *)
+let compiled_lut =
+  lazy
+    (let net = Gen_circuit.lut_waves () in
+     let outs = Array.of_list (List.map snd (Netlist.outputs net)) in
+     Netlist.mark_output net "x" (Netlist.gate net Pytfhe_circuit.Gate.Xor outs.(0) outs.(2));
+     Pipeline.compile ~optimize:false ~name:"svc-lut" net)
+
+let test_lut_program () =
+  let client_a, cloud_a = Lazy.force tenant_a in
+  let compiled = Lazy.force compiled_lut in
+  let n_in = Netlist.input_count compiled.Pipeline.netlist in
+  let rng = Rng.create ~seed:7171 () in
+  let jobs =
+    Array.init 2 (fun _ ->
+        let ins = Array.init n_in (fun _ -> Rng.bool rng) in
+        (ins, Client.encrypt_bits client_a ins))
+  in
+  let batched = { Executor.default_opts with batch = Some 8 } in
+  let (), stats =
+    with_server (fun port ->
+        let c = Service_client.connect ~port () in
+        Fun.protect
+          ~finally:(fun () -> Service_client.close c)
+          (fun () ->
+            let id = Client.client_id client_a in
+            Service_client.register c ~client_id:id cloud_a;
+            let s = Service_client.open_session c ~client_id:id Params.test in
+            let reqs =
+              Array.mapi
+                (fun i (_, cts) ->
+                  submit_compiled c ~session:s ~name:(Printf.sprintf "lut%d" i) compiled cts)
+                jobs
+            in
+            Array.iteri
+              (fun i req ->
+                let ins, cts = jobs.(i) in
+                let outputs, bootstraps = expect_done (Service_client.await ~timeout:60.0 c req) in
+                let ref_out, es = Server.run ~opts:batched Server.Cpu cloud_a compiled cts in
+                Alcotest.(check bool)
+                  (Printf.sprintf "request %d bit-exact with batched Server.run" i)
+                  true (outputs = ref_out);
+                Alcotest.(check int)
+                  (Printf.sprintf "request %d bootstraps = cpu rotations" i)
+                  es.Executor.bootstraps_executed bootstraps;
+                Alcotest.(check (array bool))
+                  (Printf.sprintf "request %d decrypts to plain eval" i)
+                  (Array.of_list (List.map snd (Plain_eval.run compiled.Pipeline.netlist ins)))
+                  (Client.decrypt_bits client_a outputs))
+              reqs))
+  in
+  Alcotest.(check int) "two requests completed" 2 stats.Service.requests_completed;
+  Alcotest.(check int) "LUT rotations count rotation units, 5 per request" 10
+    stats.Service.lut_rotations
+
+(* ------------------------------------------------------------------ *)
 (* Handshake rejection and failure isolation                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -354,6 +416,7 @@ let () =
       ( "service",
         [
           Alcotest.test_case "multi-tenant bit-exact" `Quick test_multi_tenant_bit_exact;
+          Alcotest.test_case "LUT program bit-exact" `Quick test_lut_program;
           Alcotest.test_case "handshake rejection" `Quick test_handshake_rejection;
           Alcotest.test_case "evict fails only that tenant" `Quick
             test_evict_fails_only_that_tenant;
